@@ -1,7 +1,8 @@
 // A12 — two backends, one harness (the paper's two-engines discipline
 // applied internally, slides 8-13): the columnar vectorized executor and
 // the packed-tuple row store execute the SAME plan trees over the SAME
-// generated data through the SAME measurement protocol, so every reported
+// generated data through the SAME entry point (db::Database::Run, with
+// the backend knob flipped between samples), so every reported
 // difference is layout + kernel, never harness. Three parts:
 //
 //   1. Who wins: all 22 TPC-H queries, hot, interleaved col/row samples
@@ -31,7 +32,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,7 +41,6 @@
 #include "db/database.h"
 #include "db/plan.h"
 #include "db/reference.h"
-#include "engine/backend.h"
 #include "report/gnuplot.h"
 #include "report/table_format.h"
 #include "stats/bootstrap.h"
@@ -74,6 +73,18 @@ void Attribute(const db::Profiler& profile, bool is_row,
   }
 }
 
+/// One sample: flips the database's backend knob and runs `plan` hot or
+/// cold as the caller left the pools, discarding the result rows.
+db::QueryResult RunOn(db::Database& database, db::BackendKind backend,
+                      const db::PlanPtr& plan) {
+  database.set_backend(backend);
+  return database.Run(plan, db::ExecMode::kOptimized, db::SinkKind::kDiscard);
+}
+
+double ServerNs(const db::QueryResult& result) {
+  return static_cast<double>(result.server.ObservedRealNs());
+}
+
 std::string CiJson(const stats::ConfidenceInterval& ci) {
   return StrFormat("{\"mean\": %.4f, \"lower\": %.4f, \"upper\": %.4f}",
                    ci.mean, ci.lower, ci.upper);
@@ -86,12 +97,14 @@ int main(int argc, char** argv) {
   using namespace perfeval;  // NOLINT(build/namespaces) bench binary.
   bench::BenchContext ctx(
       "A12",
-      "hot who-wins: 1 warm-up each, interleaved col/row samples, median "
-      "ObservedServerNs (wall + simulated stall), row-vs-col DiffTables "
-      "on every sample pair; cold sweep: FlushCaches on both backends "
-      "before every sample; both backends share DiskModel, pool budget "
-      "and rows_per_page",
-      argc, argv);
+      "hot who-wins: 1 warm-up each, interleaved col/row samples on one "
+      "Database (set_backend between samples), median observed server "
+      "time (wall + simulated stall), row finish = client - server under "
+      "the discard sink, row-vs-col DiffTables on every sample pair; "
+      "cold sweep: FlushCaches (both backends' pools) before every "
+      "sample; both backends share DiskModel, pool budget and "
+      "rows_per_page",
+      argc, argv, bench::kAllDbKnobs & ~bench::kDbBackendKnob);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("scaleFactor", smoke ? "0.002" : "0.02");
   ctx.properties().SetDefault("runs", smoke ? "3" : "5");
@@ -112,12 +125,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", knobs.ToString().c_str());
     return 2;
   }
-  std::unique_ptr<engine::Backend> columnar =
-      engine::CreateBackend(db::BackendKind::kColumnar, &database);
-  std::unique_ptr<engine::Backend> row =
-      engine::CreateBackend(db::BackendKind::kRowStore, &database);
-  engine::ExecOptions options;
-  options.threads = database.threads();
+  constexpr db::BackendKind kCol = db::BackendKind::kColumnar;
+  constexpr db::BackendKind kRow = db::BackendKind::kRowStore;
 
   // ---- Part 1: hot who-wins over the 22 TPC-H queries. ----
   report::TextTable wins_table;
@@ -131,19 +140,18 @@ int main(int argc, char** argv) {
   int distinct = 0;
   for (int q = 1; q <= 22; ++q) {
     db::PlanPtr plan = workload::GetTpchQuery(q).Build(database);
-    (void)columnar->Execute(plan, options);  // warm-up.
-    (void)row->Execute(plan, options);
+    (void)RunOn(database, kCol, plan);  // warm-up.
+    (void)RunOn(database, kRow, plan);
     std::vector<double> col_samples;
     std::vector<double> row_samples;
     std::vector<double> finish_samples;
     for (int r = 0; r < runs; ++r) {
-      engine::BackendResult col_result = columnar->Execute(plan, options);
-      engine::BackendResult row_result = row->Execute(plan, options);
-      col_samples.push_back(
-          static_cast<double>(col_result.ObservedServerNs()));
-      row_samples.push_back(
-          static_cast<double>(row_result.ObservedServerNs()));
-      finish_samples.push_back(static_cast<double>(row_result.finish_ns));
+      db::QueryResult col_result = RunOn(database, kCol, plan);
+      db::QueryResult row_result = RunOn(database, kRow, plan);
+      col_samples.push_back(ServerNs(col_result));
+      row_samples.push_back(ServerNs(row_result));
+      finish_samples.push_back(static_cast<double>(
+          row_result.client.real_ns - row_result.server.real_ns));
       std::string diff =
           db::DiffTables(*row_result.table, *col_result.table, kDoubleTol,
                          /*ignore_row_order=*/true);
@@ -182,8 +190,9 @@ int main(int argc, char** argv) {
         row_median / col_median, CiJson(ratio).c_str(),
         is_distinct ? "true" : "false", row_faster ? "row" : "col");
   }
-  std::printf("TPC-H who-wins, hot (row finish = packed-result -> Table "
-              "conversion, outside server time; ~ = CI overlaps 1.0)\n%s\n",
+  std::printf("TPC-H who-wins, hot (row finish = client - server: the "
+              "packed-result -> Table conversion, outside server time; ~ = "
+              "CI overlaps 1.0)\n%s\n",
               wins_table.ToString().c_str());
   std::printf(
       "columnar wins %d/22, row store %d/22; %d/22 distinguishable at "
@@ -246,17 +255,14 @@ int main(int argc, char** argv) {
       db::PlanPtr plan = db::FilterScan("lineitem", projected, pred);
       std::vector<double> col_samples;
       std::vector<double> row_samples;
-      engine::BackendResult col_result;
-      engine::BackendResult row_result;
+      db::QueryResult col_result;
+      db::QueryResult row_result;
       for (int r = 0; r < runs; ++r) {
-        columnar->FlushCaches();
-        row->FlushCaches();
-        col_result = columnar->Execute(plan, options);
-        row_result = row->Execute(plan, options);
-        col_samples.push_back(
-            static_cast<double>(col_result.ObservedServerNs()));
-        row_samples.push_back(
-            static_cast<double>(row_result.ObservedServerNs()));
+        database.FlushCaches();
+        col_result = RunOn(database, kCol, plan);
+        row_result = RunOn(database, kRow, plan);
+        col_samples.push_back(ServerNs(col_result));
+        row_samples.push_back(ServerNs(row_result));
       }
       std::string diff =
           db::DiffTables(*row_result.table, *col_result.table, kDoubleTol,
@@ -340,7 +346,7 @@ int main(int argc, char** argv) {
   json += StrFormat("  \"smoke\": %s,\n", smoke ? "true" : "false");
   json += StrFormat("  \"scale_factor\": %.4f,\n", sf);
   json += StrFormat("  \"runs\": %d,\n", runs);
-  json += StrFormat("  \"threads\": %d,\n", options.threads);
+  json += StrFormat("  \"threads\": %d,\n", database.threads());
   json += "  \"tpch_who_wins\": [\n" + wins_json + "\n  ],\n";
   json += StrFormat("  \"col_wins\": %d,\n", col_wins);
   json += StrFormat("  \"row_wins\": %d,\n", row_wins);

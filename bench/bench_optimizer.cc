@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       "hot runs: 1 warm-up, median of `runs`; join-operator TRACE time "
       "for calibration, server wall time for the plan duels; estimates "
       "zip positionally with OpTraces",
-      argc, argv);
+      argc, argv, bench::kAllDbKnobs);
   bool smoke = ctx.Smoke();
   ctx.properties().SetDefault("scaleFactor", smoke ? "0.002" : "0.02");
   ctx.properties().SetDefault("runs", smoke ? "3" : "5");

@@ -11,25 +11,29 @@ namespace perfeval {
 namespace bench {
 namespace {
 
-/// Maps the uniform scheduler flags onto properties so they flow into the
-/// manifest like every other parameter. Returns true when consumed.
-bool ConsumeScheduleFlag(const std::string& arg,
-                         repro::Properties* properties) {
-  const struct {
-    const char* prefix;
-    const char* key;
-  } kFlags[] = {
-      {"--jobs=", "jobs"},
-      {"--order=", "order"},
-      {"--isolation=", "isolation"},
-      {"--schedSeed=", "schedSeed"},
-      {"--dbThreads=", "dbThreads"},
-      {"--dbJoin=", "dbJoin"},
-      {"--radixBits=", "radixBits"},
-      {"--dbOpt=", "dbOpt"},
-      {"--dbBackend=", "dbBackend"},
-  };
-  for (const auto& flag : kFlags) {
+/// The uniform flags, mapped onto properties so they flow into the
+/// manifest like every other parameter. `knob` is the DbKnobs bit a
+/// bench must declare to accept the flag (0: every bench accepts it).
+struct Flag {
+  const char* prefix;
+  const char* key;
+  unsigned knob;
+};
+constexpr Flag kFlags[] = {
+    {"--jobs=", "jobs", 0},
+    {"--order=", "order", 0},
+    {"--isolation=", "isolation", 0},
+    {"--schedSeed=", "schedSeed", 0},
+    {"--dbThreads=", "dbThreads", kDbThreadsKnob},
+    {"--dbJoin=", "dbJoin", kDbJoinKnob},
+    {"--radixBits=", "radixBits", kDbJoinKnob},
+    {"--dbOpt=", "dbOpt", kDbOptKnob},
+    {"--dbBackend=", "dbBackend", kDbBackendKnob},
+};
+
+/// Returns true when `arg` is one of the uniform flags.
+bool ConsumeFlag(const std::string& arg, repro::Properties* properties) {
+  for (const Flag& flag : kFlags) {
     std::string prefix = flag.prefix;
     if (arg.rfind(prefix, 0) == 0) {
       properties->Set(flag.key, arg.substr(prefix.size()));
@@ -47,12 +51,18 @@ bool ConsumeScheduleFlag(const std::string& arg,
   return false;
 }
 
+[[noreturn]] void UsageError(const std::string& message) {
+  std::fprintf(stderr, "usage error: %s\n", message.c_str());
+  std::exit(2);
+}
+
 }  // namespace
 
 BenchContext::BenchContext(const std::string& experiment_id,
                            const std::string& protocol_description,
-                           int argc, char** argv)
+                           int argc, char** argv, unsigned db_knobs)
     : experiment_id_(experiment_id),
+      db_knobs_(db_knobs),
       environment_(core::CaptureEnvironment()),
       manifest_(experiment_id, protocol_description) {
   properties_.SetDefault("resultsDir", "bench_results");
@@ -61,19 +71,43 @@ BenchContext::BenchContext(const std::string& experiment_id,
   properties_.SetDefault("isolation", "exclusive");
   properties_.SetDefault("schedSeed", "0");
   properties_.SetDefault("progress", "false");
-  properties_.SetDefault("dbThreads", "1");
-  properties_.SetDefault("dbJoin", "radix");
-  properties_.SetDefault("dbOpt", "off");
-  properties_.SetDefault("dbBackend", "col");
+  if (db_knobs_ & kDbThreadsKnob) {
+    properties_.SetDefault("dbThreads", "1");
+  }
+  if (db_knobs_ & kDbJoinKnob) {
+    properties_.SetDefault("dbJoin", "radix");
+  }
+  if (db_knobs_ & kDbOptKnob) {
+    properties_.SetDefault("dbOpt", "off");
+  }
+  if (db_knobs_ & kDbBackendKnob) {
+    properties_.SetDefault("dbBackend", "col");
+  }
   properties_.SetDefault("smoke", "false");
-  std::vector<std::string> rest = properties_.OverrideFromArgs(argc, argv);
-  for (const std::string& arg : rest) {
-    if (!ConsumeScheduleFlag(arg, &properties_)) {
-      std::fprintf(stderr, "warning: ignoring unknown argument '%s'\n",
-                   arg.c_str());
+  for (const std::string& arg : properties_.OverrideFromArgs(argc, argv)) {
+    if (!ConsumeFlag(arg, &properties_)) {
+      UsageError(StrFormat("unknown argument '%s'", arg.c_str()));
     }
   }
   properties_.OverrideFromEnv("PERFEVAL_");
+  for (const Flag& flag : kFlags) {
+    if (flag.knob != 0 && (db_knobs_ & flag.knob) == 0 &&
+        properties_.Has(flag.key)) {
+      UsageError(StrFormat("%s does not apply --%s; it would not change "
+                           "what is measured",
+                           experiment_id_.c_str(), flag.key));
+    }
+  }
+  Result<core::RunOrder> order =
+      sched::ParseRunOrder(properties_.GetOr("order", "design"));
+  if (!order.ok()) {
+    UsageError(order.status().message());
+  }
+  Result<core::IsolationPolicy> isolation =
+      sched::ParseIsolationPolicy(properties_.GetOr("isolation", "exclusive"));
+  if (!isolation.ok()) {
+    UsageError(isolation.status().message());
+  }
   results_dir_ = properties_.GetOr("resultsDir", "bench_results");
   manifest_.set_environment(environment_);
 }
@@ -85,22 +119,12 @@ sched::Options BenchContext::ScheduleOptions() const {
   options.seed =
       static_cast<uint64_t>(properties_.GetInt("schedSeed", 0));
   options.progress = properties_.GetBool("progress", false);
-  Result<core::RunOrder> order =
-      sched::ParseRunOrder(properties_.GetOr("order", "design"));
-  if (order.ok()) {
-    options.order = order.value();
-  } else {
-    std::fprintf(stderr, "warning: %s; using design order\n",
-                 order.status().message().c_str());
-  }
-  Result<core::IsolationPolicy> isolation =
-      sched::ParseIsolationPolicy(properties_.GetOr("isolation", "exclusive"));
-  if (isolation.ok()) {
-    options.isolation = isolation.value();
-  } else {
-    std::fprintf(stderr, "warning: %s; using exclusive isolation\n",
-                 isolation.status().message().c_str());
-  }
+  // Both parse: the constructor rejected anything else.
+  options.order =
+      sched::ParseRunOrder(properties_.GetOr("order", "design")).value();
+  options.isolation =
+      sched::ParseIsolationPolicy(properties_.GetOr("isolation", "exclusive"))
+          .value();
   return options;
 }
 
@@ -143,24 +167,32 @@ Result<db::BackendKind> BenchContext::DbBackend() const {
 }
 
 Status BenchContext::ApplyDbKnobs(db::Database* database) const {
-  database->set_threads(DbThreads());
-  Result<db::JoinAlgo> join = DbJoin();
-  if (!join.ok()) {
-    return join.status();
+  if (db_knobs_ & kDbThreadsKnob) {
+    database->set_threads(DbThreads());
   }
-  database->set_join_algo(join.value());
-  database->set_radix_bits(
-      static_cast<int>(properties_.GetInt("radixBits", 0)));
-  Result<bool> optimize = DbOpt();
-  if (!optimize.ok()) {
-    return optimize.status();
+  if (db_knobs_ & kDbJoinKnob) {
+    Result<db::JoinAlgo> join = DbJoin();
+    if (!join.ok()) {
+      return join.status();
+    }
+    database->set_join_algo(join.value());
+    database->set_radix_bits(
+        static_cast<int>(properties_.GetInt("radixBits", 0)));
   }
-  database->set_optimize(optimize.value());
-  Result<db::BackendKind> backend = DbBackend();
-  if (!backend.ok()) {
-    return backend.status();
+  if (db_knobs_ & kDbOptKnob) {
+    Result<bool> optimize = DbOpt();
+    if (!optimize.ok()) {
+      return optimize.status();
+    }
+    database->set_optimize(optimize.value());
   }
-  database->set_backend(backend.value());
+  if (db_knobs_ & kDbBackendKnob) {
+    Result<db::BackendKind> backend = DbBackend();
+    if (!backend.ok()) {
+      return backend.status();
+    }
+    database->set_backend(backend.value());
+  }
   return Status::OK();
 }
 
@@ -176,14 +208,26 @@ void BenchContext::PrintHeader(const std::string& title) const {
   std::printf("== %s: %s ==\n", experiment_id_.c_str(), title.c_str());
   std::printf("%s", environment_.ToReportString().c_str());
   // Treatment knobs are part of the experimental setup (paper, slides
-  // 149–156): echo them in every header so a report can never be read
-  // without knowing which engine configuration produced it.
-  std::printf(
-      "db knobs: backend=%s threads=%s join=%s opt=%s\n",
-      properties_.GetOr("dbBackend", "col").c_str(),
-      properties_.GetOr("dbThreads", "1").c_str(),
-      properties_.GetOr("dbJoin", "radix").c_str(),
-      properties_.GetOr("dbOpt", "off").c_str());
+  // 149–156): echo every knob the bench applies, and only those, so a
+  // report can never be read without knowing which engine configuration
+  // produced it.
+  std::string knobs;
+  if (db_knobs_ & kDbBackendKnob) {
+    knobs += " backend=" + properties_.GetOr("dbBackend", "col");
+  }
+  if (db_knobs_ & kDbThreadsKnob) {
+    knobs += " threads=" + properties_.GetOr("dbThreads", "1");
+  }
+  if (db_knobs_ & kDbJoinKnob) {
+    knobs += " join=" + properties_.GetOr("dbJoin", "radix") +
+             " radixBits=" + properties_.GetOr("radixBits", "auto");
+  }
+  if (db_knobs_ & kDbOptKnob) {
+    knobs += " opt=" + properties_.GetOr("dbOpt", "off");
+  }
+  if (!knobs.empty()) {
+    std::printf("db knobs:%s\n", knobs.c_str());
+  }
   std::printf("\n");
 }
 

@@ -20,30 +20,47 @@ class Database;
 namespace perfeval {
 namespace bench {
 
+/// The database treatment knobs a bench applies, as a bitmask. A bench
+/// declares them at construction: ApplyDbKnobs() sets exactly these, the
+/// header echoes exactly these, and passing any other is a usage error —
+/// a knob the bench never reads must not appear to have been measured.
+enum DbKnobs : unsigned {
+  kNoDbKnobs = 0,
+  kDbThreadsKnob = 1u << 0,  ///< --dbThreads
+  kDbJoinKnob = 1u << 1,     ///< --dbJoin and --radixBits
+  kDbOptKnob = 1u << 2,      ///< --dbOpt
+  kDbBackendKnob = 1u << 3,  ///< --dbBackend
+  kAllDbKnobs = (1u << 4) - 1,
+};
+
 /// Shared scaffolding for the experiment binaries: every bench
 ///  1. parses -Dkey=value overrides into Properties (paper, slides
 ///     183–195) plus the uniform scheduler flags
 ///     `--jobs=N --order=design|randomized|interleaved
-///      --isolation=concurrent|exclusive --progress`,
+///      --isolation=concurrent|exclusive --progress` and the database
+///     knob flags it declared,
 ///  2. prints the environment spec at the paper's recommended granularity
 ///     (slides 149–156),
 ///  3. writes results + a provenance manifest under `results_dir`.
 class BenchContext {
  public:
-  /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...).
+  /// `experiment_id` is the DESIGN.md id ("T2", "F1", ...); `db_knobs`
+  /// the DbKnobs the bench applies. An unknown argument, an unparsable
+  /// --order/--isolation, or an undeclared database knob is a usage
+  /// error: the message goes to stderr and the process exits with
+  /// status 2 before any measurement runs.
   BenchContext(const std::string& experiment_id,
                const std::string& protocol_description, int argc,
-               char** argv);
+               char** argv, unsigned db_knobs = kNoDbKnobs);
 
   repro::Properties& properties() { return properties_; }
   const core::EnvironmentSpec& environment() const { return environment_; }
 
   /// Scheduler options assembled from the uniform flags (equivalently the
   /// `jobs` / `order` / `isolation` / `schedSeed` / `progress` properties,
-  /// so PERFEVAL_jobs=4 and -Djobs=4 work too). Unparsable values fall
-  /// back to the serial defaults with a warning on stderr — a typo must
-  /// not silently change the experiment. The options land in the manifest
-  /// via the properties, so the documented protocol covers the schedule.
+  /// so PERFEVAL_jobs=4 and -Djobs=4 work too), validated at
+  /// construction. The options land in the manifest via the properties,
+  /// so the documented protocol covers the schedule.
   sched::Options ScheduleOptions() const;
 
   /// Worker threads for morsel-driven intra-query parallelism
@@ -70,7 +87,7 @@ class BenchContext {
   /// never a silent fallback to the columnar engine.
   Result<db::BackendKind> DbBackend() const;
 
-  /// Applies the validated database knobs (`--dbThreads`, `--dbJoin`,
+  /// Applies the declared database knobs (of `--dbThreads`, `--dbJoin`,
   /// `--radixBits`, `--dbOpt`, `--dbBackend`) to `database`, returning the
   /// first usage error. Benches call this once after constructing their
   /// Database so every binary honours the uniform flags identically.
@@ -85,8 +102,9 @@ class BenchContext {
   /// bench_results/<stem> — all artifacts of this experiment go there.
   std::string ResultPath(const std::string& file_name) const;
 
-  /// Prints the standard header: experiment id/title, environment,
-  /// protocol, parameters.
+  /// Prints the standard header: experiment id/title, environment, and
+  /// the database knobs the bench applies (none are echoed when it
+  /// applies none).
   void PrintHeader(const std::string& title) const;
 
   /// Registers an output for the manifest.
@@ -98,6 +116,7 @@ class BenchContext {
 
  private:
   std::string experiment_id_;
+  unsigned db_knobs_;
   std::string results_dir_;
   repro::Properties properties_;
   core::EnvironmentSpec environment_;

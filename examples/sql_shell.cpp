@@ -20,8 +20,9 @@
 //                            EXPLAIN shows the optimized tree)
 //   \backend col|row         execution backend: the columnar vectorized
 //                            engine or the packed-tuple row store
-//                            (engine::RowStoreBackend); results are
-//                            oracle-identical, timings are not
+//                            (built on first use); results are
+//                            oracle-identical, timings are not.
+//                            \timing, \trace and \flush apply to both
 //   \timing on|off           route queries through the serve::QueryService
 //                            and print the server-side split (queue wait /
 //                            exec / total) alongside client wall time
@@ -47,7 +48,6 @@
 #include "common/string_util.h"
 #include "core/timer.h"
 #include "db/error.h"
-#include "engine/row_backend.h"
 #include "repro/properties.h"
 #include "db/csv_loader.h"
 #include "serve/service.h"
@@ -101,53 +101,11 @@ void RunTimed(db::Database& database, serve::QueryService& service,
   std::printf("%s", response.table->ToString(25).c_str());
   std::printf("%zu row(s)\n", response.table->num_rows());
   std::printf(
-      "Server %.3f msec (queue wait %.3f + exec %.3f), Client %.3f msec\n",
+      "Server %.3f msec (queue wait %.3f + exec %.3f), Client %.3f msec "
+      "[backend: %s]\n",
       response.server.TotalNs() / 1e6, response.server.queue_wait_ns / 1e6,
-      response.server.exec_ns / 1e6, client_ms);
-}
-
-/// Runs one SELECT through the row-store backend: plan against the shared
-/// catalog, sync the backend's packed copy (folds committed write-path
-/// deltas), execute row-at-a-time. Prints the same timing lines as the
-/// columnar path plus the row store's finish cost (converting the packed
-/// native result to a printable columnar table).
-void RunRowBackend(db::Database& database,
-                   engine::RowStoreBackend& backend,
-                   const std::string& sql_text, db::ExecMode mode,
-                   bool with_trace) {
-  Result<sql::PlannedQuery> planned = sql::PlanQuery(sql_text, database);
-  if (!planned.ok()) {
-    std::printf("error: %s\n", planned.status().ToString().c_str());
-    return;
-  }
-  if (planned->explain) {
-    std::printf("%s\n", db::Explain(planned->plan).c_str());
-    return;
-  }
-  backend.SyncFrom(&database);
-  engine::ExecOptions options;
-  options.mode = mode;
-  options.threads = database.threads();
-  options.check = database.check();
-  core::WallTimer wall;
-  try {
-    engine::BackendResult result = backend.Execute(planned->plan, options);
-    double client_ms = wall.ElapsedMs();
-    std::printf("%s", result.table->ToString(25).c_str());
-    std::printf("%zu row(s)\n", result.table->num_rows());
-    std::printf(
-        "Server %.3f msec (+ %.3f finish), Client %.3f msec [backend: %s]\n",
-        result.ObservedServerNs() / 1e6, result.finish_ns / 1e6, client_ms,
-        backend.name());
-    std::printf("Pages %lld hits / %lld misses\n",
-                static_cast<long long>(result.storage.page_hits),
-                static_cast<long long>(result.storage.page_misses));
-    if (with_trace) {
-      std::printf("\n%s", result.profile.ToString().c_str());
-    }
-  } catch (const db::QueryError& e) {
-    std::printf("error: %s\n", e.ToStatus().ToString().c_str());
-  }
+      response.server.exec_ns / 1e6, client_ms,
+      db::BackendKindName(database.backend()));
 }
 
 void RunAndPrint(db::Database& database, const std::string& sql_text,
@@ -161,9 +119,11 @@ void RunAndPrint(db::Database& database, const std::string& sql_text,
   std::printf("%s", result->table->ToString(25).c_str());
   std::printf("%zu row(s)\n", result->table->num_rows());
   // MonetDB-style timing lines (paper, slide 29).
-  std::printf("Server %.3f msec (user %.3f), Client %.3f msec\n",
+  std::printf("Server %.3f msec (user %.3f), Client %.3f msec "
+              "[backend: %s]\n",
               result->ServerRealMs(), result->ServerUserMs(),
-              result->ClientRealMs());
+              result->ClientRealMs(),
+              db::BackendKindName(database.backend()));
   std::printf("Pages %lld hits / %lld misses\n",
               static_cast<long long>(result->storage.page_hits),
               static_cast<long long>(result->storage.page_misses));
@@ -200,9 +160,6 @@ int main(int argc, char** argv) {
   // its execution mode at construction).
   std::unique_ptr<serve::QueryService> timing_service;
   bool timing_on = false;
-  // Created lazily on the first \backend row; kept across switches so its
-  // buffer pool stays warm (SyncFrom re-packs only changed tables).
-  std::unique_ptr<engine::RowStoreBackend> row_backend;
 
   std::printf("perfeval SQL shell — TPC-H sf %.3g loaded. \\q to quit.\n",
               sf);
@@ -319,10 +276,6 @@ int main(int argc, char** argv) {
             continue;
           }
           database.set_backend(*kind);
-          if (*kind == db::BackendKind::kRowStore &&
-              row_backend == nullptr) {
-            row_backend = engine::RowStoreBackend::Over(&database);
-          }
         } else if (parts.size() != 1) {
           std::printf("usage: \\backend col|row\n");
           continue;
@@ -396,13 +349,7 @@ int main(int argc, char** argv) {
         continue;
       }
       if (StartsWith(trimmed, "\\trace ")) {
-        if (database.backend() == db::BackendKind::kRowStore) {
-          RunRowBackend(database, *row_backend, trimmed.substr(7), mode,
-                        /*with_trace=*/true);
-        } else {
-          RunAndPrint(database, trimmed.substr(7), mode,
-                      /*with_trace=*/true);
-        }
+        RunAndPrint(database, trimmed.substr(7), mode, /*with_trace=*/true);
         continue;
       }
       std::printf("unknown command %s\n", trimmed.c_str());
@@ -429,12 +376,7 @@ int main(int argc, char** argv) {
       statement.clear();
       continue;
     }
-    if (database.backend() == db::BackendKind::kRowStore) {
-      // \timing routes through the columnar-bound QueryService; the row
-      // backend prints its own server/finish split instead.
-      RunRowBackend(database, *row_backend, statement, mode,
-                    /*with_trace=*/false);
-    } else if (timing_on) {
+    if (timing_on) {
       RunTimed(database, *timing_service, statement);
     } else {
       RunAndPrint(database, statement, mode, /*with_trace=*/false);

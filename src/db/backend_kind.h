@@ -17,7 +17,7 @@ namespace db {
 ///  - kColumnar: the operator-at-a-time vectorized executor over columnar
 ///    storage with selection vectors (src/db/plan.cc) — the engine every
 ///    prior A-bench measured.
-///  - kRowStore: engine::RowStoreBackend — tables packed as fixed-stride
+///  - kRowStore: db::RowStoreBackend — tables packed as fixed-stride
 ///    row tuples over a shared string heap, executed row-at-a-time with
 ///    batching (no selection vectors, tuple-at-a-time CPU cost, row-major
 ///    I/O). A different design point, not a wrapper over the reference

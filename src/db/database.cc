@@ -1,6 +1,7 @@
 #include "db/database.h"
 
 #include "common/check.h"
+#include "db/row_backend.h"
 
 namespace perfeval {
 namespace db {
@@ -10,6 +11,8 @@ Database::Database(DatabaseOptions options)
       storage_(std::make_unique<StorageManager>(options.disk,
                                                 options.buffer_pool_pages,
                                                 options.rows_per_page)) {}
+
+Database::~Database() = default;
 
 void Database::RegisterTable(const std::string& name,
                              std::shared_ptr<Table> table) {
@@ -88,6 +91,14 @@ std::vector<std::string> Database::TableNames() const {
   return table_order_;
 }
 
+void Database::FlushCaches() {
+  storage_->FlushCaches();
+  std::lock_guard<std::mutex> lock(row_mu_);
+  if (row_store_ != nullptr) {
+    row_store_->FlushCaches();
+  }
+}
+
 QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
                           bool use_zone_maps) {
   // Fold freshly committed write-path deltas into the catalog before
@@ -111,54 +122,73 @@ QueryResult Database::Run(const PlanPtr& plan, ExecMode mode, SinkKind sink,
   ctx.radix_bits = options_.radix_bits;
   ctx.check = options_.check;
 
-  // Server phase: execute the plan. Stats are read through the
-  // thread-safe snapshot so concurrent query streams never race on the
-  // counters (the per-query deltas are then only meaningful when streams
-  // run serially; the result table is deterministic either way).
-  StorageStats stats_before = storage_->StatsSnapshot();
-  int64_t stall_before = storage_->total_stall_ns();
+  // Server phase: execute the plan to the backend's native result — a
+  // columnar relation (possibly a selection over a base table), or a
+  // packed row block.
   Relation relation;
-  {
-    // Shared exec gate: storage metadata (zone maps, chunk counts) stays
-    // stable for the whole server phase even while the write path swaps
-    // tables between queries.
-    std::shared_lock<std::shared_mutex> gate(exec_gate_);
-    result.server = core::MeasureOnce([&] { relation = plan->Execute(ctx); });
-  }
-  result.server.simulated_stall_ns =
-      storage_->total_stall_ns() - stall_before;
-  StorageStats stats_after = storage_->StatsSnapshot();
-  result.storage.page_hits = stats_after.page_hits - stats_before.page_hits;
-  result.storage.page_misses =
-      stats_after.page_misses - stats_before.page_misses;
-  result.storage.bytes_read = stats_after.bytes_read - stats_before.bytes_read;
-  result.storage.stall_ns = stats_after.stall_ns - stats_before.stall_ns;
-
-  // Plans can return a selection over a base table; materialize the final
-  // result the way a server serializes it.
-  if (relation.selection) {
-    std::vector<uint32_t> rows = relation.RowIds();
-    auto materialized = std::make_shared<Table>(relation.table->schema());
-    materialized->ReserveRows(rows.size());
-    for (uint32_t r : rows) {
-      std::vector<Value> row;
-      row.reserve(relation.table->num_columns());
-      for (size_t c = 0; c < relation.table->num_columns(); ++c) {
-        row.push_back(relation.table->ValueAt(r, c));
+  RowBlockPtr rows;
+  if (options_.backend == BackendKind::kRowStore) {
+    RowStoreBackend* row_store;
+    {
+      std::lock_guard<std::mutex> lock(row_mu_);
+      if (row_store_ == nullptr) {
+        RowStoreBackend::Options row_options;
+        row_options.disk = options_.disk;
+        row_options.buffer_pool_pages = options_.buffer_pool_pages;
+        row_options.rows_per_page = options_.rows_per_page;
+        row_store_ = std::make_unique<RowStoreBackend>(row_options);
       }
-      materialized->AppendRow(row);
+      row_store_->SyncFrom(*this);
+      row_store = row_store_.get();
     }
-    result.table = materialized;
+    result.server = core::MeasureOnce([&] {
+      rows = row_store->Execute(*plan, mode, threads(), check(),
+                                &result.profile, &result.storage);
+    });
+    result.server.simulated_stall_ns = result.storage.stall_ns;
   } else {
-    result.table = relation.table;
+    // Stats are read through the thread-safe snapshot so concurrent query
+    // streams never race on the counters (the per-query deltas are then
+    // only meaningful when streams run serially; the result table is
+    // deterministic either way).
+    StorageStats stats_before = storage_->StatsSnapshot();
+    int64_t stall_before = storage_->total_stall_ns();
+    {
+      // Shared exec gate: storage metadata (zone maps, chunk counts) stays
+      // stable for the whole server phase even while the write path swaps
+      // tables between queries.
+      std::shared_lock<std::shared_mutex> gate(exec_gate_);
+      result.server =
+          core::MeasureOnce([&] { relation = plan->Execute(ctx); });
+    }
+    result.server.simulated_stall_ns =
+        storage_->total_stall_ns() - stall_before;
+    StorageStats stats_after = storage_->StatsSnapshot();
+    result.storage.page_hits = stats_after.page_hits - stats_before.page_hits;
+    result.storage.page_misses =
+        stats_after.page_misses - stats_before.page_misses;
+    result.storage.bytes_read =
+        stats_after.bytes_read - stats_before.bytes_read;
+    result.storage.stall_ns = stats_after.stall_ns - stats_before.stall_ns;
   }
 
-  // Client phase: render the result into the sink.
-  core::Measurement render = core::MeasureOnce(
-      [&] { result.sink = SendToSink(*result.table, sink,
-                                     options_.sink_model); });
-  render.simulated_stall_ns = result.sink.stall_ns;
-  result.client = result.server + render;
+  // Client phase: finish the native result into a table the way a server
+  // serializes it, then render it into the sink. Finishing is charged here
+  // on both backends; a gather's parallel region stays out of the
+  // server-side ParallelSim.
+  ctx.parallel_sim = nullptr;
+  core::Measurement client = core::MeasureOnce([&] {
+    if (rows != nullptr) {
+      result.table = UnpackToTable(*rows);
+    } else if (relation.selection != nullptr) {
+      result.table = GatherRows(ctx, *relation.table, *relation.selection);
+    } else {
+      result.table = relation.table;
+    }
+    result.sink = SendToSink(*result.table, sink, options_.sink_model);
+  });
+  client.simulated_stall_ns = result.sink.stall_ns;
+  result.client = result.server + client;
   return result;
 }
 

@@ -21,6 +21,8 @@
 namespace perfeval {
 namespace db {
 
+class RowStoreBackend;
+
 /// Configuration of a Database instance. These knobs are the factors of the
 /// engine-screening experiment (DESIGN.md, A1) and of the hot/cold and
 /// output-channel reproductions.
@@ -54,11 +56,13 @@ struct DatabaseOptions {
   /// (SQL shell `\opt on`, bench `--dbOpt=on`); results are oracle-diffed
   /// identical to the rule-only plans.
   bool optimize = false;
-  /// Which execution backend serves queries (see db/backend_kind.h). The
-  /// Database itself always runs the columnar executor; the knob is
-  /// carried here so the shell, benches, and engine::CreateBackend agree
-  /// on one treatment setting per experiment (SQL shell `\backend`, bench
-  /// `--dbBackend=`).
+  /// Which execution backend Run() executes plans on (see
+  /// db/backend_kind.h): the columnar executor, or the packed-tuple row
+  /// store built from the catalog on the first row-store Run(). The row
+  /// store honours `threads`, `check`, the storage geometry (disk,
+  /// buffer_pool_pages, rows_per_page) and `sink_model`; `morsel`,
+  /// `join_algo` and `radix_bits` are columnar kernels' knobs and it has
+  /// no zone maps. SQL shell `\backend`, bench `--dbBackend=`.
   BackendKind backend = BackendKind::kColumnar;
 };
 
@@ -71,7 +75,8 @@ struct QueryResult {
 
   /// Server-side execution only (plan execution).
   core::Measurement server;
-  /// Client-side view: server plus result rendering and sink stall.
+  /// Client-side view: server plus finishing (the backend's native result
+  /// into `table`), result rendering and sink stall.
   core::Measurement client;
 
   SinkReport sink;
@@ -103,11 +108,13 @@ struct QueryResult {
 };
 
 /// The engine facade: a catalog of named tables over a StorageManager, and
-/// a Run() entry point that executes plans under a chosen ExecMode and
-/// result sink, with full timing.
+/// a Run() entry point — the one way a plan executes — that runs plans on
+/// the configured backend under a chosen ExecMode and result sink, with
+/// full timing.
 class Database {
  public:
   explicit Database(DatabaseOptions options = DatabaseOptions());
+  ~Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -173,17 +180,15 @@ class Database {
   bool optimize() const { return options_.optimize; }
   void set_optimize(bool optimize) { options_.optimize = optimize; }
 
-  /// Execution-backend knob; adjustable at runtime (SQL shell
-  /// `\backend col|row`, bench `--dbBackend=`). Run() itself always
-  /// executes columnar; callers that honor the knob route through
-  /// engine::Backend (see src/engine/backend.h).
+  /// Execution-backend knob; adjustable at runtime between queries (SQL
+  /// shell `\backend col|row`, bench `--dbBackend=`). Switching keeps the
+  /// row store and its buffer pool for the next row-store Run().
   BackendKind backend() const { return options_.backend; }
   void set_backend(BackendKind backend) { options_.backend = backend; }
 
   /// Runs the refresh hook (if any) without executing a query: folds
-  /// freshly committed write-path deltas into the catalog. Secondary
-  /// backends call this before re-syncing their own copies of the
-  /// catalog, so they observe the same committed snapshot a Run() would.
+  /// freshly committed write-path deltas into the catalog, as the start
+  /// of every Run() does.
   void Refresh() {
     if (refresh_hook_) {
       refresh_hook_();
@@ -196,14 +201,23 @@ class Database {
   std::shared_ptr<const TableStats> GetTableStats(
       const std::string& name) const;
 
-  /// Empties the buffer pool: the next run is a cold run (slide 32).
-  void FlushCaches() { storage_->FlushCaches(); }
+  /// Empties the buffer pools of both backends: the next run is a cold
+  /// run (slide 32).
+  void FlushCaches();
 
-  /// Executes `plan`: server phase (plan execution) then client phase
-  /// (result rendering into `sink`). Profiling is always collected.
+  /// Executes `plan` on the backend selected by options().backend: server
+  /// phase (plan execution to the backend's native result), then client
+  /// phase (finishing the native result into `table` — gathering a final
+  /// selection, or unpacking the row store's tuples — and rendering it
+  /// into `sink`). Profiling is always collected. `use_zone_maps` applies
+  /// to the columnar backend only.
   QueryResult Run(const PlanPtr& plan, ExecMode mode = ExecMode::kOptimized,
                   SinkKind sink = SinkKind::kDiscard,
                   bool use_zone_maps = true);
+
+  /// The row store, or null while no row-store Run() has built it. For
+  /// inspection between queries; not synchronized with a running Run().
+  const RowStoreBackend* row_store() const { return row_store_.get(); }
 
  private:
   DatabaseOptions options_;
@@ -217,6 +231,12 @@ class Database {
   /// swapped under a running scan.
   mutable std::shared_mutex exec_gate_;
   std::function<void()> refresh_hook_;
+
+  /// The row-store copy of the catalog, built by the first row-store
+  /// Run() and re-synced at each one; `row_mu_` guards building and
+  /// syncing. A columnar-only database never touches either.
+  std::mutex row_mu_;
+  std::unique_ptr<RowStoreBackend> row_store_;
 
   std::unordered_map<std::string, std::shared_ptr<Table>> tables_;
   std::unordered_map<std::string, uint32_t> table_ids_;

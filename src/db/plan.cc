@@ -153,13 +153,8 @@ class TraceScope {
   core::WallTimer timer_;
 };
 
-/// Gather: new table containing `rows` of `source` in order. Optimized
-/// mode runs typed tight loops, morsel-parallel when the adaptive policy
-/// decides the input is big enough — each morsel fills a disjoint index
-/// range of the pre-sized output vectors, a pure scatter-by-index, so the
-/// result is byte-identical at any thread count. Debug mode goes
-/// tuple-at-a-time through the generic Value path with per-row validation
-/// (the interpreted, assertion-heavy code path of an un-optimized build).
+}  // namespace
+
 std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
                                   const std::vector<uint32_t>& rows) {
   auto out = std::make_shared<Table>(source.schema());
@@ -231,6 +226,8 @@ std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
   out->FinishBulkLoad();
   return out;
 }
+
+namespace {
 
 /// One predicate compiled once per operator: the flattened conjuncts plus
 /// their `column <op> constant` forms where available. Compiling once —

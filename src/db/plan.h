@@ -101,6 +101,17 @@ struct Relation {
   std::vector<uint32_t> RowIds() const;
 };
 
+/// Gather: new table containing `rows` of `source` in order. Optimized
+/// mode runs typed tight loops, morsel-parallel when the adaptive policy
+/// decides the input is big enough — each morsel fills a disjoint index
+/// range of the pre-sized output vectors, a pure scatter-by-index, so the
+/// result is byte-identical at any thread count. Debug mode goes
+/// tuple-at-a-time through the generic Value path with per-row validation
+/// (the interpreted, assertion-heavy code path of an un-optimized build);
+/// so do nullable sources, which keeps their NULL masks.
+std::shared_ptr<Table> GatherRows(ExecContext& ctx, const Table& source,
+                                  const std::vector<uint32_t>& rows);
+
 /// Aggregate functions.
 enum class AggOp { kSum, kAvg, kMin, kMax, kCount, kCountDistinct };
 const char* AggOpName(AggOp op);

@@ -1,4 +1,4 @@
-#include "engine/row_backend.h"
+#include "db/row_backend.h"
 
 #include <algorithm>
 #include <chrono>
@@ -14,11 +14,12 @@
 #include "db/error.h"
 #include "db/expr.h"
 #include "db/invariants.h"
+#include "db/database.h"
 #include "db/plan.h"
 #include "sched/parallel_for.h"
 
 namespace perfeval {
-namespace engine {
+namespace db {
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -36,16 +37,16 @@ struct CatalogView {
 
 /// Everything one execution threads down the plan tree.
 struct RowExecCtx {
-  db::ExecMode mode = db::ExecMode::kOptimized;
+  ExecMode mode = ExecMode::kOptimized;
   int threads = 1;
   bool check = false;
   size_t batch_rows = 1024;
-  db::Profiler* profiler = nullptr;
+  Profiler* profiler = nullptr;
   RowPager* pager = nullptr;
   const std::unordered_map<std::string, CatalogView>* catalog = nullptr;
   /// I/O charged to this execution so far (deltas returned by the pager,
   /// accumulated on the coordinating thread in row order).
-  db::StorageStats io;
+  StorageStats io;
 };
 
 /// Times one operator's own work (children already executed) and records
@@ -65,7 +66,7 @@ class RowTrace {
     if (ctx_.profiler == nullptr) {
       return;
     }
-    db::OpTrace trace;
+    OpTrace trace;
     trace.op = std::move(op_);
     trace.rows_in = rows_in_;
     trace.rows_out = rows_out_;
@@ -92,42 +93,42 @@ const CatalogView& LookupTable(const RowExecCtx& ctx,
                                const std::string& name) {
   auto it = ctx.catalog->find(name);
   if (it == ctx.catalog->end()) {
-    throw db::QueryError(StatusCode::kNotFound,
+    throw QueryError(StatusCode::kNotFound,
                          "row backend: unknown table " + name);
   }
   return it->second;
 }
 
 /// A scratch columnar view of rows [begin, end) of a block — the batch
-/// half of "row-at-a-time with batching": db::Expr evaluation (the
+/// half of "row-at-a-time with batching": Expr evaluation (the
 /// engine's full NULL/overflow semantics for free) runs tuple-at-a-time
 /// over it.
-db::Table UnpackBatch(const RowBlock& block, size_t begin, size_t end) {
-  db::Table scratch(block.schema());
+Table UnpackBatch(const RowBlock& block, size_t begin, size_t end) {
+  Table scratch(block.schema());
   scratch.ReserveRows(end - begin);
   UnpackRows(block, begin, end, &scratch);
   return scratch;
 }
 
 bool EvalSimpleAt(const RowBlock& block, size_t r,
-                  const db::SimplePredicate& pred, bool is_double) {
+                  const SimplePredicate& pred, bool is_double) {
   if (block.IsNull(r, pred.column)) {
     return false;  // UNKNOWN -> not selected at the filter boundary.
   }
   double v = is_double ? block.DoubleAt(r, pred.column)
                        : static_cast<double>(block.Int64At(r, pred.column));
   switch (pred.op) {
-    case db::CmpOp::kEq:
+    case CmpOp::kEq:
       return v == pred.value;
-    case db::CmpOp::kNe:
+    case CmpOp::kNe:
       return v != pred.value;
-    case db::CmpOp::kLt:
+    case CmpOp::kLt:
       return v < pred.value;
-    case db::CmpOp::kLe:
+    case CmpOp::kLe:
       return v <= pred.value;
-    case db::CmpOp::kGt:
+    case CmpOp::kGt:
       return v > pred.value;
-    case db::CmpOp::kGe:
+    case CmpOp::kGe:
       return v >= pred.value;
   }
   return false;
@@ -139,20 +140,20 @@ bool EvalSimpleAt(const RowBlock& block, size_t r,
 /// concatenated in batch order, so output and stats are deterministic at
 /// any `threads`), then copies surviving tuples into a fresh block
 /// sharing the input's heap.
-RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
+RowBlockPtr FilterBlock(const RowBlock& input, const Expr& predicate,
                         RowExecCtx& ctx, RowTrace* trace, const char* op) {
   size_t n = input.num_rows();
   size_t batch = ctx.batch_rows;
   size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
   std::vector<std::vector<uint32_t>> survivors(num_batches);
 
-  db::SimplePredicate simple;
-  bool fast = ctx.mode == db::ExecMode::kOptimized &&
+  SimplePredicate simple;
+  bool fast = ctx.mode == ExecMode::kOptimized &&
               predicate.AsSimplePredicate(&simple) &&
               input.schema().column(simple.column).type !=
-                  db::DataType::kString;
+                  DataType::kString;
   bool is_double = fast && input.schema().column(simple.column).type ==
-                               db::DataType::kDouble;
+                               DataType::kDouble;
 
   auto eval_batch = [&](size_t b) {
     size_t begin = b * batch;
@@ -168,7 +169,7 @@ RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
       }
       return;
     }
-    db::Table scratch = UnpackBatch(input, begin, end);
+    Table scratch = UnpackBatch(input, begin, end);
     for (size_t r = begin; r < end; ++r) {
       if (predicate.EvalBool(scratch, r - begin)) {
         out.push_back(static_cast<uint32_t>(r));
@@ -199,8 +200,8 @@ RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
     for (const auto& s : survivors) {
       all.insert(all.end(), s.begin(), s.end());
     }
-    db::CheckSelectionStrictlyIncreasing(all, op);
-    db::CheckSelectionSubsequence(all, nullptr, n, op);
+    CheckSelectionStrictlyIncreasing(all, op);
+    CheckSelectionSubsequence(all, nullptr, n, op);
   }
   for (const auto& s : survivors) {
     for (uint32_t r : s) {
@@ -214,12 +215,12 @@ RowBlockPtr FilterBlock(const RowBlock& input, const db::Expr& predicate,
 
 int64_t JoinKeyAt(const RowBlock& block, size_t col, size_t row,
                   const std::string& name) {
-  if (block.schema().column(col).type != db::DataType::kInt64) {
-    throw db::QueryError(StatusCode::kInvalidArgument,
+  if (block.schema().column(col).type != DataType::kInt64) {
+    throw QueryError(StatusCode::kInvalidArgument,
                          "join key column " + name + " is not int64");
   }
   if (block.IsNull(row, col)) {
-    throw db::QueryError(StatusCode::kInvalidArgument,
+    throw QueryError(StatusCode::kInvalidArgument,
                          "join key column " + name + " contains NULL (row " +
                              std::to_string(row) +
                              "); NULL join keys are unsupported");
@@ -227,7 +228,7 @@ int64_t JoinKeyAt(const RowBlock& block, size_t col, size_t row,
   return block.Int64At(row, col);
 }
 
-RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
+RowBlockPtr ExecJoin(const PlanSpec& spec, const RowBlockPtr& left,
                      const RowBlockPtr& right, RowExecCtx& ctx,
                      const char* op) {
   size_t nkeys = spec.left_keys.size();
@@ -272,7 +273,7 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
     for (size_t r = 0; r < right->num_rows(); ++r) {
       build_keys[r] = right->Int64At(r, rk[0]);
     }
-    db::CheckJoinMatchConservation(probe_keys, build_keys, out_left.size(),
+    CheckJoinMatchConservation(probe_keys, build_keys, out_left.size(),
                                    op);
   }
 
@@ -280,13 +281,13 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
   // possible (same heap, or the only string columns live on one side);
   // otherwise concatenate both heaps and shift the right side's string
   // slots by the concatenation offset.
-  std::vector<db::ColumnSpec> specs = left->schema().columns();
-  for (const db::ColumnSpec& s : right->schema().columns()) {
+  std::vector<ColumnSpec> specs = left->schema().columns();
+  for (const ColumnSpec& s : right->schema().columns()) {
     specs.push_back(s);
   }
   auto has_strings = [](const RowBlock& b) {
-    for (const db::ColumnSpec& s : b.schema().columns()) {
-      if (s.type == db::DataType::kString) {
+    for (const ColumnSpec& s : b.schema().columns()) {
+      if (s.type == DataType::kString) {
         return true;
       }
     }
@@ -307,14 +308,14 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
   }
 
   auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))), heap);
+      RowLayout::For(Schema(std::move(specs))), heap);
   out->ReserveRows(out_left.size());
   size_t lcols = left->schema().num_columns();
   size_t rcols = right->schema().num_columns();
   std::vector<uint8_t> right_is_string(rcols, 0);
   for (size_t c = 0; c < rcols; ++c) {
     right_is_string[c] =
-        right->schema().column(c).type == db::DataType::kString ? 1 : 0;
+        right->schema().column(c).type == DataType::kString ? 1 : 0;
   }
   for (size_t i = 0; i < out_left.size(); ++i) {
     uint32_t lr = out_left[i];
@@ -343,11 +344,11 @@ RowBlockPtr ExecJoin(const db::PlanSpec& spec, const RowBlockPtr& left,
   return out;
 }
 
-RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
+RowBlockPtr ExecProject(const PlanSpec& spec, const RowBlockPtr& input,
                         RowExecCtx& ctx, RowTrace* trace) {
   size_t n = input->num_rows();
   size_t ncols = spec.exprs.size();
-  std::vector<db::ColumnSpec> specs(ncols);
+  std::vector<ColumnSpec> specs(ncols);
   for (size_t j = 0; j < ncols; ++j) {
     specs[j] = {spec.names[j], spec.exprs[j]->ResultType(input->schema())};
   }
@@ -356,13 +357,13 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
   // re-shaping by raw slot copy, string heap shared, parallel over
   // fixed-size row ranges into a presized block.
   std::vector<size_t> src_cols(ncols);
-  bool all_refs = ctx.mode == db::ExecMode::kOptimized;
+  bool all_refs = ctx.mode == ExecMode::kOptimized;
   for (size_t j = 0; all_refs && j < ncols; ++j) {
     all_refs = spec.exprs[j]->AsColumnIndex(&src_cols[j]);
   }
   if (all_refs) {
     auto out = std::make_shared<RowBlock>(
-        RowLayout::For(db::Schema(std::move(specs))), input->heap());
+        RowLayout::For(Schema(std::move(specs))), input->heap());
     out->ResizeRows(n);
     size_t batch = ctx.batch_rows;
     size_t num_batches = n == 0 ? 0 : (n + batch - 1) / batch;
@@ -396,15 +397,15 @@ RowBlockPtr ExecProject(const db::PlanSpec& spec, const RowBlockPtr& input,
   }
 
   // General path: batch-unpack, evaluate each expression tuple-at-a-time
-  // (full engine semantics via db::Expr), re-intern computed strings into
+  // (full engine semantics via Expr), re-intern computed strings into
   // a fresh heap.
   auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))));
+      RowLayout::For(Schema(std::move(specs))));
   out->ReserveRows(n);
   size_t batch = ctx.batch_rows;
   for (size_t begin = 0; begin < n; begin += batch) {
     size_t end = std::min(n, begin + batch);
-    db::Table scratch = UnpackBatch(*input, begin, end);
+    Table scratch = UnpackBatch(*input, begin, end);
     for (size_t r = begin; r < end; ++r) {
       uint8_t* row = out->AppendRow();
       for (size_t j = 0; j < ncols; ++j) {
@@ -431,21 +432,21 @@ struct AggState {
   std::map<std::string, bool> distinct;
 };
 
-RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
+RowBlockPtr ExecAggregate(const PlanSpec& spec, const RowBlockPtr& input,
                           RowExecCtx& ctx, const char* op) {
-  const db::Schema& schema = input->schema();
+  const Schema& schema = input->schema();
   std::vector<size_t> group_cols;
   for (const std::string& name : spec.group_by) {
     group_cols.push_back(schema.MustIndexOf(name));
   }
-  const std::vector<db::AggSpec>& aggregates = spec.aggregates;
+  const std::vector<AggSpec>& aggregates = spec.aggregates;
   std::vector<uint8_t> int_agg(aggregates.size(), 0);
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    const db::AggSpec& as = aggregates[a];
-    int_agg[a] = (as.op == db::AggOp::kSum || as.op == db::AggOp::kAvg ||
-                  as.op == db::AggOp::kMin || as.op == db::AggOp::kMax) &&
+    const AggSpec& as = aggregates[a];
+    int_agg[a] = (as.op == AggOp::kSum || as.op == AggOp::kAvg ||
+                  as.op == AggOp::kMin || as.op == AggOp::kMax) &&
                          as.expr != nullptr &&
-                         as.expr->ResultType(schema) == db::DataType::kInt64
+                         as.expr->ResultType(schema) == DataType::kInt64
                      ? 1
                      : 0;
   }
@@ -463,7 +464,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
   std::string key;
   for (size_t begin = 0; begin < n; begin += batch) {
     size_t end = std::min(n, begin + batch);
-    db::Table scratch = UnpackBatch(*input, begin, end);
+    Table scratch = UnpackBatch(*input, begin, end);
     for (size_t r = begin; r < end; ++r) {
       size_t sr = r - begin;
       key.clear();
@@ -480,21 +481,21 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
       }
       size_t g = it->second;
       for (size_t a = 0; a < aggregates.size(); ++a) {
-        const db::AggSpec& as = aggregates[a];
+        const AggSpec& as = aggregates[a];
         AggState& state = states[a][g];
-        if (as.op == db::AggOp::kCount && as.expr == nullptr) {
+        if (as.op == AggOp::kCount && as.expr == nullptr) {
           ++state.count;
           continue;
         }
-        db::Value v = as.expr->EvalRow(scratch, sr);
+        Value v = as.expr->EvalRow(scratch, sr);
         if (v.is_null()) {
           continue;  // SQL aggregates skip NULL inputs.
         }
         switch (as.op) {
-          case db::AggOp::kCount:
+          case AggOp::kCount:
             ++state.count;
             break;
-          case db::AggOp::kCountDistinct:
+          case AggOp::kCountDistinct:
             state.distinct[v.ToString()] = true;
             break;
           default:
@@ -507,7 +508,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
                 state.imin = std::min(state.imin, i);
                 state.imax = std::max(state.imax, i);
               }
-              state.isum = db::CheckedAdd(state.isum, i, "SUM accumulator");
+              state.isum = CheckedAdd(state.isum, i, "SUM accumulator");
             } else {
               double d = v.AsDouble();
               if (state.count == 0) {
@@ -534,20 +535,20 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
   if (ctx.check) {
     // First-occurrence order implies strictly increasing representative
     // rows; a violation means the grouping pass reordered input.
-    db::CheckSelectionStrictlyIncreasing(first_rows, op);
+    CheckSelectionStrictlyIncreasing(first_rows, op);
   }
 
-  std::vector<db::ColumnSpec> specs;
+  std::vector<ColumnSpec> specs;
   for (size_t c : group_cols) {
     specs.push_back(schema.column(c));
   }
-  for (const db::AggSpec& as : aggregates) {
-    specs.push_back({as.output_name, db::AggOutputType(as, schema)});
+  for (const AggSpec& as : aggregates) {
+    specs.push_back({as.output_name, AggOutputType(as, schema)});
   }
   // Group-key strings are raw slot copies out of the input block, so the
   // output shares its heap; aggregate outputs are always numeric.
   auto out = std::make_shared<RowBlock>(
-      RowLayout::For(db::Schema(std::move(specs))), input->heap());
+      RowLayout::For(Schema(std::move(specs))), input->heap());
   size_t emitted = group_cols.empty() ? 1 : first_rows.size();
   out->ReserveRows(emitted);
   for (size_t g = 0; g < emitted; ++g) {
@@ -565,7 +566,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
       size_t oc = group_cols.size() + a;
       bool is_int = int_agg[a] != 0;
       switch (aggregates[a].op) {
-        case db::AggOp::kSum:
+        case AggOp::kSum:
           if (state.count == 0) {
             out->SetNull(row, oc);
           } else if (is_int) {
@@ -574,7 +575,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
             out->SetDouble(row, oc, state.sum);
           }
           break;
-        case db::AggOp::kAvg:
+        case AggOp::kAvg:
           if (state.count == 0) {
             out->SetNull(row, oc);
           } else if (is_int) {
@@ -585,7 +586,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
                            state.sum / static_cast<double>(state.count));
           }
           break;
-        case db::AggOp::kMin:
+        case AggOp::kMin:
           if (state.count == 0) {
             out->SetNull(row, oc);
           } else if (is_int) {
@@ -594,7 +595,7 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
             out->SetDouble(row, oc, state.min);
           }
           break;
-        case db::AggOp::kMax:
+        case AggOp::kMax:
           if (state.count == 0) {
             out->SetNull(row, oc);
           } else if (is_int) {
@@ -603,10 +604,10 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
             out->SetDouble(row, oc, state.max);
           }
           break;
-        case db::AggOp::kCount:
+        case AggOp::kCount:
           out->SetInt64(row, oc, state.count);
           break;
-        case db::AggOp::kCountDistinct:
+        case AggOp::kCountDistinct:
           out->SetInt64(row, oc,
                         static_cast<int64_t>(state.distinct.size()));
           break;
@@ -617,15 +618,15 @@ RowBlockPtr ExecAggregate(const db::PlanSpec& spec, const RowBlockPtr& input,
 }
 
 /// Typed comparator over packed rows; ordering semantics mirror
-/// db::RowComparator exactly (NULL smallest before the direction flip,
+/// RowComparator exactly (NULL smallest before the direction flip,
 /// int64/date native, doubles with NaN ordered greatest and tying with
 /// itself — the explicit NaN branch keeps the strict weak ordering valid
 /// under descending keys — strings lexicographic).
 class BlockComparator {
  public:
-  BlockComparator(const RowBlock& block, const std::vector<db::SortKey>& keys)
+  BlockComparator(const RowBlock& block, const std::vector<SortKey>& keys)
       : block_(block) {
-    for (const db::SortKey& spec : keys) {
+    for (const SortKey& spec : keys) {
       Key key;
       key.col = block.schema().MustIndexOf(spec.column);
       key.type = block.schema().column(key.col).type;
@@ -647,7 +648,7 @@ class BlockComparator {
  private:
   struct Key {
     size_t col = 0;
-    db::DataType type = db::DataType::kInt64;
+    DataType type = DataType::kInt64;
     bool ascending = true;
   };
 
@@ -658,13 +659,13 @@ class BlockComparator {
       return a_null == b_null ? 0 : (a_null ? -1 : 1);
     }
     switch (key.type) {
-      case db::DataType::kInt64:
-      case db::DataType::kDate: {
+      case DataType::kInt64:
+      case DataType::kDate: {
         int64_t x = block_.Int64At(a, key.col);
         int64_t y = block_.Int64At(b, key.col);
         return x < y ? -1 : (x == y ? 0 : 1);
       }
-      case db::DataType::kDouble: {
+      case DataType::kDouble: {
         double x = block_.DoubleAt(a, key.col);
         double y = block_.DoubleAt(b, key.col);
         bool x_nan = std::isnan(x);
@@ -674,7 +675,7 @@ class BlockComparator {
         }
         return x < y ? -1 : (x == y ? 0 : 1);
       }
-      case db::DataType::kString: {
+      case DataType::kString: {
         std::string_view x = block_.StringAt(a, key.col);
         std::string_view y = block_.StringAt(b, key.col);
         return x < y ? -1 : (x == y ? 0 : 1);
@@ -687,7 +688,7 @@ class BlockComparator {
   std::vector<Key> keys_;
 };
 
-RowBlockPtr GatherRows(const RowBlock& input,
+RowBlockPtr GatherTuples(const RowBlock& input,
                        const std::vector<uint32_t>& rows) {
   auto out = std::make_shared<RowBlock>(input.layout(), input.heap());
   out->ReserveRows(rows.size());
@@ -697,7 +698,7 @@ RowBlockPtr GatherRows(const RowBlock& input,
   return out;
 }
 
-RowBlockPtr ExecSort(const db::PlanSpec& spec, const RowBlockPtr& input,
+RowBlockPtr ExecSort(const PlanSpec& spec, const RowBlockPtr& input,
                      RowExecCtx& ctx, bool top_n, const char* op) {
   std::vector<uint32_t> rows(input->num_rows());
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -710,19 +711,19 @@ RowBlockPtr ExecSort(const db::PlanSpec& spec, const RowBlockPtr& input,
     for (size_t i = 0; i < identity.size(); ++i) {
       identity[i] = static_cast<uint32_t>(i);
     }
-    db::CheckPermutation(identity, rows, op);
+    CheckPermutation(identity, rows, op);
   }
   if (top_n && rows.size() > spec.limit) {
     rows.resize(spec.limit);
   }
-  return GatherRows(*input, rows);
+  return GatherTuples(*input, rows);
 }
 
-RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
-  db::PlanSpec spec = node.Spec();
-  std::vector<const db::PlanNode*> children = node.Children();
+RowBlockPtr ExecNode(const PlanNode& node, RowExecCtx& ctx) {
+  PlanSpec spec = node.Spec();
+  std::vector<const PlanNode*> children = node.Children();
   switch (spec.kind) {
-    case db::PlanKind::kScan: {
+    case PlanKind::kScan: {
       const CatalogView& entry = LookupTable(ctx, spec.table_name);
       RowTrace trace(ctx, "Scan(" + spec.table_name + ")",
                      entry.block->num_rows());
@@ -734,7 +735,7 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       trace.set_rows_out(entry.block->num_rows());
       return entry.block;
     }
-    case db::PlanKind::kFilterScan: {
+    case PlanKind::kFilterScan: {
       const CatalogView& entry = LookupTable(ctx, spec.table_name);
       RowTrace trace(ctx, "FilterScan(" + spec.table_name + ")",
                      entry.block->num_rows());
@@ -743,21 +744,21 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       return FilterBlock(*entry.block, *spec.predicate, ctx, &trace,
                          "FilterScan");
     }
-    case db::PlanKind::kFilter: {
+    case PlanKind::kFilter: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "Filter", input->num_rows());
       return FilterBlock(*input, *spec.predicate, ctx, &trace, "Filter");
     }
-    case db::PlanKind::kProject: {
+    case PlanKind::kProject: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "Project", input->num_rows());
       return ExecProject(spec, input, ctx, &trace);
     }
-    case db::PlanKind::kHashJoin:
-    case db::PlanKind::kMergeJoin: {
+    case PlanKind::kHashJoin:
+    case PlanKind::kMergeJoin: {
       RowBlockPtr left = ExecNode(*children[0], ctx);
       RowBlockPtr right = ExecNode(*children[1], ctx);
-      bool hash = spec.kind == db::PlanKind::kHashJoin;
+      bool hash = spec.kind == PlanKind::kHashJoin;
       std::string name =
           std::string(hash ? "HashJoin(" : "MergeJoin(") +
           spec.left_keys[0] + "=" + spec.right_keys[0] + ")";
@@ -768,28 +769,28 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       trace.set_rows_out(out->num_rows());
       return out;
     }
-    case db::PlanKind::kAggregate: {
+    case PlanKind::kAggregate: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "Aggregate", input->num_rows());
       RowBlockPtr out = ExecAggregate(spec, input, ctx, "Aggregate");
       trace.set_rows_out(out->num_rows());
       return out;
     }
-    case db::PlanKind::kSort: {
+    case PlanKind::kSort: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "Sort", input->num_rows());
       RowBlockPtr out = ExecSort(spec, input, ctx, /*top_n=*/false, "Sort");
       trace.set_rows_out(out->num_rows());
       return out;
     }
-    case db::PlanKind::kTopN: {
+    case PlanKind::kTopN: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "TopN", input->num_rows());
       RowBlockPtr out = ExecSort(spec, input, ctx, /*top_n=*/true, "TopN");
       trace.set_rows_out(out->num_rows());
       return out;
     }
-    case db::PlanKind::kLimit: {
+    case PlanKind::kLimit: {
       RowBlockPtr input = ExecNode(*children[0], ctx);
       RowTrace trace(ctx, "Limit", input->num_rows());
       std::vector<uint32_t> rows;
@@ -798,12 +799,12 @@ RowBlockPtr ExecNode(const db::PlanNode& node, RowExecCtx& ctx) {
       for (size_t r = 0; r < keep; ++r) {
         rows.push_back(static_cast<uint32_t>(r));
       }
-      RowBlockPtr out = GatherRows(*input, rows);
+      RowBlockPtr out = GatherTuples(*input, rows);
       trace.set_rows_out(out->num_rows());
       return out;
     }
   }
-  throw db::QueryError(StatusCode::kInternal, "unknown plan kind");
+  throw QueryError(StatusCode::kInternal, "unknown plan kind");
 }
 
 }  // namespace
@@ -816,55 +817,51 @@ RowStoreBackend::RowStoreBackend(Options options)
   PERFEVAL_CHECK_GT(options_.batch_rows, 0u);
 }
 
-std::unique_ptr<RowStoreBackend> RowStoreBackend::Over(
-    db::Database* database) {
-  Options options;
-  options.disk = database->options().disk;
-  options.buffer_pool_pages = database->options().buffer_pool_pages;
-  options.rows_per_page = database->options().rows_per_page;
-  auto backend = std::make_unique<RowStoreBackend>(options);
-  backend->SyncFrom(database);
-  return backend;
-}
-
 void RowStoreBackend::RegisterTable(const std::string& name,
-                                    std::shared_ptr<db::Table> table) {
-  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-  PERFEVAL_CHECK(tables_.find(name) == tables_.end())
-      << "duplicate table " << name;
-  CatalogEntry entry;
-  entry.block = std::make_shared<RowBlock>(PackTable(*table));
-  entry.source = std::move(table);
-  entry.table_id = next_table_id_++;
-  pager_->RegisterTable(entry.table_id, *entry.block);
-  tables_[name] = std::move(entry);
+                                    std::shared_ptr<const Table> table) {
+  Install(name, std::move(table), /*must_be_new=*/true);
 }
 
-void RowStoreBackend::SyncFrom(db::Database* database) {
-  database->Refresh();
-  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
-  for (const std::string& name : database->TableNames()) {
-    std::shared_ptr<const db::Table> source = database->GetTableShared(name);
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      CatalogEntry entry;
-      entry.block = std::make_shared<RowBlock>(PackTable(*source));
-      entry.source = std::move(source);
-      entry.table_id = next_table_id_++;
-      pager_->RegisterTable(entry.table_id, *entry.block);
-      tables_[name] = std::move(entry);
-    } else if (it->second.source != source) {
-      // The write path installed a new snapshot: re-pack; the new block's
-      // pages are cold, as with StorageManager::ReplaceTable.
-      it->second.block = std::make_shared<RowBlock>(PackTable(*source));
-      it->second.source = std::move(source);
-      pager_->ReplaceTable(it->second.table_id, *it->second.block);
+void RowStoreBackend::SyncFrom(const Database& database) {
+  for (const std::string& name : database.TableNames()) {
+    std::shared_ptr<const Table> source = database.GetTableShared(name);
+    {
+      std::shared_lock<std::shared_mutex> lock(catalog_mu_);
+      auto it = tables_.find(name);
+      if (it != tables_.end() && it->second.source == source) {
+        continue;
+      }
     }
+    Install(name, std::move(source), /*must_be_new=*/false);
   }
 }
 
-BackendResult RowStoreBackend::Execute(const db::PlanPtr& plan,
-                                       const ExecOptions& options) {
+void RowStoreBackend::Install(const std::string& name,
+                              std::shared_ptr<const Table> source,
+                              bool must_be_new) {
+  // Pack outside the lock: executions keep running on the old block.
+  auto block = std::make_shared<RowBlock>(PackTable(*source));
+  std::unique_lock<std::shared_mutex> lock(catalog_mu_);
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    CatalogEntry& entry = tables_[name];
+    entry.block = std::move(block);
+    entry.source = std::move(source);
+    entry.table_id = next_table_id_++;
+    pager_->RegisterTable(entry.table_id, *entry.block);
+    return;
+  }
+  PERFEVAL_CHECK(!must_be_new) << "duplicate table " << name;
+  // The write path installed a new snapshot: the new block's pages are
+  // cold, as with StorageManager::ReplaceTable.
+  it->second.block = std::move(block);
+  it->second.source = std::move(source);
+  pager_->ReplaceTable(it->second.table_id, *it->second.block);
+}
+
+RowBlockPtr RowStoreBackend::Execute(const PlanNode& plan, ExecMode mode,
+                                     int threads, bool check,
+                                     Profiler* profiler, StorageStats* io) {
   std::shared_lock<std::shared_mutex> lock(catalog_mu_);
   std::unordered_map<std::string, CatalogView> catalog;
   catalog.reserve(tables_.size());
@@ -872,26 +869,17 @@ BackendResult RowStoreBackend::Execute(const db::PlanPtr& plan,
     catalog[name] = CatalogView{entry.block, entry.table_id};
   }
 
-  BackendResult result;
   RowExecCtx ctx;
-  ctx.mode = options.mode;
-  ctx.threads = options.threads < 1 ? 1 : options.threads;
-  ctx.check = options.check;
+  ctx.mode = mode;
+  ctx.threads = threads < 1 ? 1 : threads;
+  ctx.check = check;
   ctx.batch_rows = options_.batch_rows;
-  ctx.profiler = &result.profile;
+  ctx.profiler = profiler;
   ctx.pager = pager_.get();
   ctx.catalog = &catalog;
-
-  Clock::time_point start = Clock::now();
-  RowBlockPtr out = ExecNode(*plan, ctx);
-  result.server_wall_ns = NsSince(start);
-  result.storage = ctx.io;
-  result.stall_ns = ctx.io.stall_ns;
-
-  Clock::time_point finish_start = Clock::now();
-  result.table = UnpackToTable(*out);
-  result.finish_ns = NsSince(finish_start);
-  return result;
+  RowBlockPtr out = ExecNode(plan, ctx);
+  *io += ctx.io;
+  return out;
 }
 
 RowBlockPtr RowStoreBackend::GetBlock(const std::string& name) const {
@@ -908,5 +896,5 @@ uint32_t RowStoreBackend::TableId(const std::string& name) const {
   return it->second.table_id;
 }
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval

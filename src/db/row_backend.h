@@ -1,5 +1,5 @@
-#ifndef PERFEVAL_ENGINE_ROW_BACKEND_H_
-#define PERFEVAL_ENGINE_ROW_BACKEND_H_
+#ifndef PERFEVAL_DB_ROW_BACKEND_H_
+#define PERFEVAL_DB_ROW_BACKEND_H_
 
 #include <cstdint>
 #include <memory>
@@ -7,15 +7,20 @@
 #include <string>
 #include <unordered_map>
 
-#include "engine/backend.h"
-#include "engine/row_layout.h"
-#include "engine/row_pager.h"
+#include "db/plan.h"
+#include "db/profile.h"
+#include "db/row_layout.h"
+#include "db/row_pager.h"
+#include "db/storage.h"
+#include "db/table.h"
 
 namespace perfeval {
-namespace engine {
+namespace db {
+
+class Database;
 
 /// The row-store backend: every catalog table is packed into fixed-stride
-/// row tuples over a shared string heap (engine/row_layout.h), and plan
+/// row tuples over a shared string heap (db/row_layout.h), and plan
 /// trees execute row-at-a-time with batching — a genuinely different
 /// design point from the columnar engine, not a wrapper over the
 /// reference interpreter:
@@ -24,7 +29,7 @@ namespace engine {
 ///    fixed-stride memcpy each) into a fresh block instead of refining an
 ///    index vector over columnar arrays.
 ///  - Tuple-at-a-time CPU cost: general predicates and projections
-///    evaluate db::Expr per row over batch-unpacked scratch columns
+///    evaluate Expr per row over batch-unpacked scratch columns
 ///    (kDebug always does; kOptimized takes compiled fast paths for
 ///    simple predicates and column-reference projections that read packed
 ///    slots directly).
@@ -35,7 +40,7 @@ namespace engine {
 ///
 /// Semantics are the engine's, bit for bit where the contract demands it:
 /// Kleene 3VL with UNKNOWN -> not-selected at filter boundaries (via
-/// db::Expr), aggregates skip NULLs and yield NULL over zero rows,
+/// Expr), aggregates skip NULLs and yield NULL over zero rows,
 /// checked int64 accumulation, groups in first-occurrence order, NULL
 /// sorting smallest, joins rejecting non-int64/NULL keys — the
 /// backend-vs-backend oracle sweep (tests/sql/oracle_backend_test.cc)
@@ -51,12 +56,16 @@ namespace engine {
 /// Thread safety: concurrent Execute() calls are safe (blocks are
 /// immutable, the pager locks internally, the catalog is read under a
 /// shared mutex); RegisterTable/SyncFrom take the catalog mutex
-/// exclusively and must not race in-flight executions of the tables they
-/// replace.
-class RowStoreBackend : public Backend {
+/// exclusively only to install a packed table, so they wait out in-flight
+/// executions of the tables they replace.
+///
+/// Database owns one of these and builds it on the first Run() under
+/// BackendKind::kRowStore (see Database::Run); tests construct one
+/// directly to set `batch_rows`.
+class RowStoreBackend {
  public:
   struct Options {
-    db::DiskModel disk;
+    DiskModel disk;
     size_t buffer_pool_pages = 256;
     size_t rows_per_page = 4096;
     /// Rows per executor batch: the unpack/evaluate granularity of the
@@ -68,32 +77,32 @@ class RowStoreBackend : public Backend {
   RowStoreBackend() : RowStoreBackend(Options()) {}
   explicit RowStoreBackend(Options options);
 
-  /// Convenience: a backend whose pager matches `database`'s storage
-  /// configuration (same DiskModel / pool budget / rows per page), with
-  /// every catalog table imported.
-  static std::unique_ptr<RowStoreBackend> Over(db::Database* database);
+  RowStoreBackend(const RowStoreBackend&) = delete;
+  RowStoreBackend& operator=(const RowStoreBackend&) = delete;
 
-  db::BackendKind kind() const override {
-    return db::BackendKind::kRowStore;
-  }
-
+  /// Packs `table` and adds it to the catalog. Aborts on duplicate names.
   void RegisterTable(const std::string& name,
-                     std::shared_ptr<db::Table> table) override;
+                     std::shared_ptr<const Table> table);
 
-  /// Runs the database's refresh hook, then re-packs every table whose
-  /// installed snapshot changed identity since the last sync (and imports
-  /// tables this backend has not seen). Re-packed tables are cold in the
-  /// pager, mirroring StorageManager::ReplaceTable.
-  void SyncFrom(db::Database* database) override;
+  /// Re-packs every table whose installed snapshot in `database` changed
+  /// identity since the last sync, and imports tables not seen before.
+  /// Re-packed tables are cold in the pager, mirroring
+  /// StorageManager::ReplaceTable. Unchanged tables cost one pointer
+  /// comparison each.
+  void SyncFrom(const Database& database);
 
-  BackendResult Execute(const db::PlanPtr& plan,
-                        const ExecOptions& options) override;
+  /// The server phase: executes `plan` row-at-a-time with `threads`
+  /// workers (results and I/O identical at any setting) and returns the
+  /// packed result. Operator traces go to `profiler` (may be null); the
+  /// I/O charged to exactly this execution is added to `*io`. Throws
+  /// QueryError for runtime query failures, as Database::Run does.
+  RowBlockPtr Execute(const PlanNode& plan, ExecMode mode, int threads,
+                      bool check, Profiler* profiler, StorageStats* io);
 
-  db::StorageStats StorageSnapshot() const override {
-    return pager_->StatsSnapshot();
-  }
+  StorageStats StorageSnapshot() const { return pager_->StatsSnapshot(); }
 
-  void FlushCaches() override { pager_->FlushCaches(); }
+  /// Empties the pager's buffer pool — the cold-run "reboot".
+  void FlushCaches() { pager_->FlushCaches(); }
 
   const Options& options() const { return options_; }
 
@@ -108,21 +117,26 @@ class RowStoreBackend : public Backend {
     RowBlockPtr block;
     /// Identity of the columnar snapshot this block was packed from;
     /// SyncFrom re-packs when the database's pointer differs.
-    std::shared_ptr<const db::Table> source;
+    std::shared_ptr<const Table> source;
     uint32_t table_id = 0;
   };
+
+  /// Packs `source` and installs it as `name`: a new catalog entry, or a
+  /// replacement of an existing one (pages evicted, table id kept).
+  void Install(const std::string& name, std::shared_ptr<const Table> source,
+               bool must_be_new);
 
   Options options_;
   std::unique_ptr<RowPager> pager_;
 
-  /// Guards the catalog map. Executions hold it shared; registration and
-  /// sync hold it exclusively.
+  /// Guards the catalog map. Executions hold it shared; installs hold it
+  /// exclusively.
   mutable std::shared_mutex catalog_mu_;
   std::unordered_map<std::string, CatalogEntry> tables_;
   uint32_t next_table_id_ = 1;
 };
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval
 
-#endif  // PERFEVAL_ENGINE_ROW_BACKEND_H_
+#endif  // PERFEVAL_DB_ROW_BACKEND_H_

@@ -1,71 +1,71 @@
-#include "engine/row_layout.h"
+#include "db/row_layout.h"
 
 #include <string>
 #include <utility>
 
 namespace perfeval {
-namespace engine {
+namespace db {
 
-db::Value RowBlock::ValueAt(size_t r, size_t c) const {
-  db::DataType type = schema().column(c).type;
+Value RowBlock::ValueAt(size_t r, size_t c) const {
+  DataType type = schema().column(c).type;
   if (IsNull(r, c)) {
-    return db::Value::Null(type);
+    return Value::Null(type);
   }
   switch (type) {
-    case db::DataType::kInt64:
-      return db::Value::Int64(Int64At(r, c));
-    case db::DataType::kDouble:
-      return db::Value::Double(DoubleAt(r, c));
-    case db::DataType::kDate:
-      return db::Value::Date(static_cast<int32_t>(Int64At(r, c)));
-    case db::DataType::kString:
-      return db::Value::String(std::string(StringAt(r, c)));
+    case DataType::kInt64:
+      return Value::Int64(Int64At(r, c));
+    case DataType::kDouble:
+      return Value::Double(DoubleAt(r, c));
+    case DataType::kDate:
+      return Value::Date(static_cast<int32_t>(Int64At(r, c)));
+    case DataType::kString:
+      return Value::String(std::string(StringAt(r, c)));
   }
-  return db::Value::Null(type);
+  return Value::Null(type);
 }
 
-void RowBlock::SetValue(uint8_t* row, size_t c, const db::Value& v) {
+void RowBlock::SetValue(uint8_t* row, size_t c, const Value& v) {
   if (v.is_null()) {
     SetNull(row, c);
     return;
   }
   switch (v.type()) {
-    case db::DataType::kInt64:
+    case DataType::kInt64:
       SetInt64(row, c, v.AsInt64());
       return;
-    case db::DataType::kDouble:
+    case DataType::kDouble:
       SetDouble(row, c, v.AsDouble());
       return;
-    case db::DataType::kDate:
+    case DataType::kDate:
       SetInt64(row, c, static_cast<int64_t>(v.AsDate()));
       return;
-    case db::DataType::kString:
+    case DataType::kString:
       SetString(row, c, v.AsString());
       return;
   }
 }
 
-RowBlock PackTable(const db::Table& table) {
+RowBlock PackTable(const Table& table) {
   RowBlock block(RowLayout::For(table.schema()));
   block.ReserveRows(table.num_rows());
   size_t ncols = table.num_columns();
   for (size_t r = 0; r < table.num_rows(); ++r) {
     uint8_t* row = block.AppendRow();
     for (size_t c = 0; c < ncols; ++c) {
-      const db::Column& src = table.column(c);
+      const Column& src = table.column(c);
       if (src.IsNull(r)) {
         block.SetNull(row, c);
         continue;
       }
       switch (src.type()) {
-        case db::DataType::kInt64:
-        case db::DataType::kDate:
+        case DataType::kInt64:
+        case DataType::kDate:
           block.SetInt64(row, c, src.GetInt64(r));
           break;
-        case db::DataType::kDouble:
+        case DataType::kDouble:
           block.SetDouble(row, c, src.GetDouble(r));
           break;
-        case db::DataType::kString: {
+        case DataType::kString: {
           // SetString may reallocate the heap; re-derive `row` afterwards
           // is unnecessary because the heap and row bytes are distinct
           // vectors — only heap bytes move.
@@ -79,27 +79,27 @@ RowBlock PackTable(const db::Table& table) {
 }
 
 void UnpackRows(const RowBlock& block, size_t begin, size_t end,
-                db::Table* out) {
+                Table* out) {
   size_t ncols = block.schema().num_columns();
   for (size_t c = 0; c < ncols; ++c) {
-    db::Column& dst = out->column(c);
-    db::DataType type = block.schema().column(c).type;
+    Column& dst = out->column(c);
+    DataType type = block.schema().column(c).type;
     for (size_t r = begin; r < end; ++r) {
       if (block.IsNull(r, c)) {
         dst.AppendNull();
         continue;
       }
       switch (type) {
-        case db::DataType::kInt64:
+        case DataType::kInt64:
           dst.AppendInt64(block.Int64At(r, c));
           break;
-        case db::DataType::kDate:
+        case DataType::kDate:
           dst.AppendDate(static_cast<int32_t>(block.Int64At(r, c)));
           break;
-        case db::DataType::kDouble:
+        case DataType::kDouble:
           dst.AppendDouble(block.DoubleAt(r, c));
           break;
-        case db::DataType::kString:
+        case DataType::kString:
           dst.AppendString(std::string(block.StringAt(r, c)));
           break;
       }
@@ -108,12 +108,12 @@ void UnpackRows(const RowBlock& block, size_t begin, size_t end,
   out->FinishBulkLoad();
 }
 
-std::shared_ptr<db::Table> UnpackToTable(const RowBlock& block) {
-  auto out = std::make_shared<db::Table>(block.schema());
+std::shared_ptr<Table> UnpackToTable(const RowBlock& block) {
+  auto out = std::make_shared<Table>(block.schema());
   out->ReserveRows(block.num_rows());
   UnpackRows(block, 0, block.num_rows(), out.get());
   return out;
 }
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval

@@ -1,5 +1,5 @@
-#ifndef PERFEVAL_ENGINE_ROW_LAYOUT_H_
-#define PERFEVAL_ENGINE_ROW_LAYOUT_H_
+#ifndef PERFEVAL_DB_ROW_LAYOUT_H_
+#define PERFEVAL_DB_ROW_LAYOUT_H_
 
 #include <cstdint>
 #include <cstring>
@@ -13,7 +13,7 @@
 #include "db/value.h"
 
 namespace perfeval {
-namespace engine {
+namespace db {
 
 /// Append-only byte arena holding the string payloads of a RowBlock.
 /// String-typed row slots store a (offset, length) pair into one heap, so
@@ -82,7 +82,7 @@ class RowLayout {
  public:
   RowLayout() = default;
 
-  static RowLayout For(const db::Schema& schema) {
+  static RowLayout For(const Schema& schema) {
     RowLayout layout;
     layout.schema_ = schema;
     size_t null_bytes = (schema.num_columns() + 7) / 8;
@@ -91,7 +91,7 @@ class RowLayout {
     return layout;
   }
 
-  const db::Schema& schema() const { return schema_; }
+  const Schema& schema() const { return schema_; }
   size_t num_columns() const { return schema_.num_columns(); }
   /// Bytes per packed row (excluding string payload, which lives in the
   /// heap but is charged per row by the pager).
@@ -104,14 +104,14 @@ class RowLayout {
   }
 
  private:
-  db::Schema schema_;
+  Schema schema_;
   size_t slot_base_ = 8;
   size_t stride_ = 8;
 };
 
 /// A run of packed rows sharing one layout and one string heap — the unit
 /// of exchange between the row-store backend's operators (the role
-/// db::Table plays for the columnar engine). Immutable once built;
+/// Table plays for the columnar engine). Immutable once built;
 /// operators build a fresh block and hand out shared_ptr<const RowBlock>.
 class RowBlock {
  public:
@@ -121,7 +121,7 @@ class RowBlock {
       : layout_(std::move(layout)), heap_(std::move(heap)) {}
 
   const RowLayout& layout() const { return layout_; }
-  const db::Schema& schema() const { return layout_.schema(); }
+  const Schema& schema() const { return layout_.schema(); }
   size_t num_rows() const { return num_rows_; }
 
   void ReserveRows(size_t n) { bytes_.reserve(n * layout_.stride()); }
@@ -178,7 +178,7 @@ class RowBlock {
     return heap_->At(RawSlotAt(r, c));
   }
   /// NULL-aware typed read (API-boundary path; hot loops read slots).
-  db::Value ValueAt(size_t r, size_t c) const;
+  Value ValueAt(size_t r, size_t c) const;
 
   // ---- Cell writers (builders only; `row` from AppendRow/MutableRowPtr) ----
 
@@ -199,7 +199,7 @@ class RowBlock {
   void SetString(uint8_t* row, size_t c, std::string_view s) {
     SetRawSlot(row, c, heap_->Append(s));
   }
-  void SetValue(uint8_t* row, size_t c, const db::Value& v);
+  void SetValue(uint8_t* row, size_t c, const Value& v);
 
   const std::shared_ptr<StringHeap>& heap() const { return heap_; }
   StringHeap& mutable_heap() { return *heap_; }
@@ -219,18 +219,18 @@ using RowBlockPtr = std::shared_ptr<const RowBlock>;
 /// Packs a columnar table into a fresh RowBlock (fresh heap). The packed
 /// form round-trips exactly: UnpackToTable(PackTable(t)) equals t cell for
 /// cell, including NULL masks.
-RowBlock PackTable(const db::Table& table);
+RowBlock PackTable(const Table& table);
 
 /// Appends rows [begin, end) of `block` to `out` (schema must match) —
-/// the executor's batch-unpack step feeding db::Expr evaluation.
+/// the executor's batch-unpack step feeding Expr evaluation.
 void UnpackRows(const RowBlock& block, size_t begin, size_t end,
-                db::Table* out);
+                Table* out);
 
 /// Materializes the whole block as a columnar table (the backend-neutral
 /// result format every backend's output is diffed in).
-std::shared_ptr<db::Table> UnpackToTable(const RowBlock& block);
+std::shared_ptr<Table> UnpackToTable(const RowBlock& block);
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval
 
-#endif  // PERFEVAL_ENGINE_ROW_LAYOUT_H_
+#endif  // PERFEVAL_DB_ROW_LAYOUT_H_

@@ -1,4 +1,4 @@
-#include "engine/row_pager.h"
+#include "db/row_pager.h"
 
 #include <algorithm>
 #include <utility>
@@ -7,7 +7,7 @@
 #include "common/check.h"
 
 namespace perfeval {
-namespace engine {
+namespace db {
 namespace {
 
 uint64_t PageKey(uint32_t table_id, uint32_t page) {
@@ -16,7 +16,7 @@ uint64_t PageKey(uint32_t table_id, uint32_t page) {
 
 }  // namespace
 
-RowPager::RowPager(db::DiskModel disk, size_t buffer_pool_pages,
+RowPager::RowPager(DiskModel disk, size_t buffer_pool_pages,
                    size_t rows_per_page)
     : disk_(disk),
       buffer_pool_pages_(buffer_pool_pages),
@@ -25,63 +25,14 @@ RowPager::RowPager(db::DiskModel disk, size_t buffer_pool_pages,
   PERFEVAL_CHECK_GT(rows_per_page_, 0u);
 }
 
-void RowPager::RegisterTable(uint32_t table_id, const RowBlock& block) {
-  PERFEVAL_CHECK(tables_.find(table_id) == tables_.end())
-      << "table id registered twice";
-  TableMeta meta;
-  size_t n = block.num_rows();
-  size_t num_pages = (n + rows_per_page_ - 1) / rows_per_page_;
-  meta.page_bytes.resize(num_pages, 0);
-  const auto& string_cols = [&] {
-    std::vector<size_t> cols;
-    for (size_t c = 0; c < block.schema().num_columns(); ++c) {
-      if (block.schema().column(c).type == db::DataType::kString) {
-        cols.push_back(c);
-      }
-    }
-    return cols;
-  }();
-  for (size_t p = 0; p < num_pages; ++p) {
-    size_t begin = p * rows_per_page_;
-    size_t end = std::min(n, begin + rows_per_page_);
-    size_t bytes = (end - begin) * block.layout().stride();
-    for (size_t r = begin; r < end; ++r) {
-      for (size_t c : string_cols) {
-        if (!block.IsNull(r, c)) {
-          bytes += StringHeap::SlotLength(block.RawSlotAt(r, c));
-        }
-      }
-    }
-    meta.page_bytes[p] = bytes;
-  }
-  tables_[table_id] = std::move(meta);
-}
-
-void RowPager::ReplaceTable(uint32_t table_id, const RowBlock& block) {
-  std::lock_guard<std::mutex> lock(mu_);
-  PERFEVAL_CHECK(tables_.find(table_id) != tables_.end())
-      << "ReplaceTable on unregistered table id";
-  tables_.erase(table_id);
-  // Evict the stale pages and drop the stream head: the new version's
-  // pages are cold, exactly as a freshly written file would be.
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (static_cast<uint32_t>(*it >> 32) == table_id) {
-      resident_.erase(*it);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  stream_heads_.erase(table_id);
-
-  // Recompute page sizes (RegisterTable body, sans the duplicate check).
+RowPager::TableMeta RowPager::MeasurePages(const RowBlock& block) const {
   TableMeta meta;
   size_t n = block.num_rows();
   size_t num_pages = (n + rows_per_page_ - 1) / rows_per_page_;
   meta.page_bytes.resize(num_pages, 0);
   std::vector<size_t> string_cols;
   for (size_t c = 0; c < block.schema().num_columns(); ++c) {
-    if (block.schema().column(c).type == db::DataType::kString) {
+    if (block.schema().column(c).type == DataType::kString) {
       string_cols.push_back(c);
     }
   }
@@ -98,16 +49,45 @@ void RowPager::ReplaceTable(uint32_t table_id, const RowBlock& block) {
     }
     meta.page_bytes[p] = bytes;
   }
+  return meta;
+}
+
+void RowPager::RegisterTable(uint32_t table_id, const RowBlock& block) {
+  TableMeta meta = MeasurePages(block);
+  std::lock_guard<std::mutex> lock(mu_);
+  PERFEVAL_CHECK(tables_.find(table_id) == tables_.end())
+      << "table id registered twice";
   tables_[table_id] = std::move(meta);
 }
 
+void RowPager::ReplaceTable(uint32_t table_id, const RowBlock& block) {
+  TableMeta meta = MeasurePages(block);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto table = tables_.find(table_id);
+  PERFEVAL_CHECK(table != tables_.end())
+      << "ReplaceTable on unregistered table id";
+  table->second = std::move(meta);
+  // Evict the stale pages and drop the stream head: the new version's
+  // pages are cold, exactly as a freshly written file would be.
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (static_cast<uint32_t>(*it >> 32) == table_id) {
+      resident_.erase(*it);
+      it = lru_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  stream_heads_.erase(table_id);
+}
+
 size_t RowPager::NumPages(uint32_t table_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(table_id);
   PERFEVAL_CHECK(it != tables_.end()) << "unregistered table id";
   return it->second.page_bytes.size();
 }
 
-db::StorageStats RowPager::TouchRows(uint32_t table_id, size_t row_begin,
+StorageStats RowPager::TouchRows(uint32_t table_id, size_t row_begin,
                                      size_t row_end) {
   if (row_begin >= row_end) {
     return {};
@@ -116,7 +96,7 @@ db::StorageStats RowPager::TouchRows(uint32_t table_id, size_t row_begin,
   auto meta_it = tables_.find(table_id);
   PERFEVAL_CHECK(meta_it != tables_.end()) << "unregistered table id";
   const TableMeta& meta = meta_it->second;
-  db::StorageStats before = stats_;
+  StorageStats before = stats_;
   uint32_t first = static_cast<uint32_t>(row_begin / rows_per_page_);
   uint32_t last = static_cast<uint32_t>((row_end - 1) / rows_per_page_);
   for (uint32_t p = first; p <= last; ++p) {
@@ -151,7 +131,7 @@ db::StorageStats RowPager::TouchRows(uint32_t table_id, size_t row_begin,
       resident_.erase(victim);
     }
   }
-  db::StorageStats delta = stats_;
+  StorageStats delta = stats_;
   delta.page_hits -= before.page_hits;
   delta.page_misses -= before.page_misses;
   delta.bytes_read -= before.bytes_read;
@@ -169,15 +149,15 @@ void RowPager::FlushCaches() {
   stream_heads_.clear();
 }
 
-db::StorageStats RowPager::StatsSnapshot() const {
+StorageStats RowPager::StatsSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
 void RowPager::ResetStats() {
   std::lock_guard<std::mutex> lock(mu_);
-  stats_ = db::StorageStats();
+  stats_ = StorageStats();
 }
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval

@@ -1,5 +1,5 @@
-#ifndef PERFEVAL_ENGINE_ROW_PAGER_H_
-#define PERFEVAL_ENGINE_ROW_PAGER_H_
+#ifndef PERFEVAL_DB_ROW_PAGER_H_
+#define PERFEVAL_DB_ROW_PAGER_H_
 
 #include <cstdint>
 #include <list>
@@ -8,13 +8,13 @@
 #include <vector>
 
 #include "db/storage.h"
-#include "engine/row_layout.h"
+#include "db/row_layout.h"
 
 namespace perfeval {
-namespace engine {
+namespace db {
 
 /// Simulated I/O accounting for the row store, mirroring the columnar
-/// db::StorageManager's model — same DiskModel charges, same LRU pool
+/// StorageManager's model — same DiskModel charges, same LRU pool
 /// budget (a page *count*), same sequential-stream seek discipline — over
 /// a row-major page shape: one page holds `rows_per_page` complete tuples
 /// (packed stride bytes plus the string payload a serialized row would
@@ -24,14 +24,14 @@ namespace engine {
 /// What is held constant vs. what legitimately differs is spelled out in
 /// DESIGN.md ("Comparing backends defensibly").
 ///
-/// Thread safety: TouchRows/FlushCaches/ResetStats/StatsSnapshot serialize
-/// on one mutex. Determinism is the caller's contract, as with
-/// StorageManager: the row executor accounts scan I/O from the
-/// coordinating thread in row-range order before fanning compute out, so
-/// stats are independent of worker interleaving.
+/// Thread safety: every member function serializes on one mutex.
+/// Determinism is the caller's contract, as with StorageManager: the row
+/// executor accounts scan I/O from the coordinating thread in row-range
+/// order before fanning compute out, so stats are independent of worker
+/// interleaving.
 class RowPager {
  public:
-  RowPager(db::DiskModel disk, size_t buffer_pool_pages,
+  RowPager(DiskModel disk, size_t buffer_pool_pages,
            size_t rows_per_page);
 
   RowPager(const RowPager&) = delete;
@@ -52,13 +52,13 @@ class RowPager {
 
   /// Touches every page overlapping rows [row_begin, row_end), pages
   /// ascending, and returns the stats delta charged to exactly this call.
-  db::StorageStats TouchRows(uint32_t table_id, size_t row_begin,
+  StorageStats TouchRows(uint32_t table_id, size_t row_begin,
                              size_t row_end);
 
   /// Empties the buffer pool — the cold-run "reboot".
   void FlushCaches();
 
-  db::StorageStats StatsSnapshot() const;
+  StorageStats StatsSnapshot() const;
   void ResetStats();
 
  private:
@@ -69,15 +69,15 @@ class RowPager {
     std::vector<size_t> page_bytes;
   };
 
-  db::DiskModel disk_;
+  TableMeta MeasurePages(const RowBlock& block) const;
+
+  DiskModel disk_;
   size_t buffer_pool_pages_;
   size_t rows_per_page_;
 
-  /// table_id -> page metadata. Written by Register/ReplaceTable (no
-  /// concurrent queries, as with StorageManager::ReplaceTable).
-  std::unordered_map<uint32_t, TableMeta> tables_;
-
   mutable std::mutex mu_;
+  /// table_id -> page metadata.
+  std::unordered_map<uint32_t, TableMeta> tables_;
   /// LRU buffer pool: most-recent at front; key = table_id << 32 | page.
   std::list<uint64_t> lru_;
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> resident_;
@@ -85,10 +85,10 @@ class RowPager {
   /// p+1 right after page p of the same table costs no seek; hits advance
   /// the head too (OS readahead keeps streaming over warm pages).
   std::unordered_map<uint32_t, uint32_t> stream_heads_;
-  db::StorageStats stats_;
+  StorageStats stats_;
 };
 
-}  // namespace engine
+}  // namespace db
 }  // namespace perfeval
 
-#endif  // PERFEVAL_ENGINE_ROW_PAGER_H_
+#endif  // PERFEVAL_DB_ROW_PAGER_H_

@@ -207,12 +207,12 @@ const ExperimentSuite& PerfevalSuite() {
         "the concurrent query service, `txn` for the write path "
         "(concurrent ingest + scan, group commit, crash-point fuzzing), "
         "`shard` for concurrent scatter-gather across the shard cluster, "
-        "`engine` for concurrent multi-backend Execute — and should pass "
+        "`engine` for concurrent row-store runs — and should pass "
         "under ThreadSanitizer:\n\n"
         "```sh\n"
         "cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread\n"
         "cmake --build build-tsan --target sched_test db_parallel_test "
-        "serve_test txn_test shard_test engine_test\n"
+        "serve_test txn_test shard_test row_store_test\n"
         "ctest --test-dir build-tsan -L sched\n"
         "ctest --test-dir build-tsan -L db\n"
         "ctest --test-dir build-tsan -L serve\n"
@@ -297,29 +297,34 @@ const ExperimentSuite& PerfevalSuite() {
         "an oracle that hand-picks the best global algorithm per query.");
     s->AddNote(
         "Multi-backend comparison",
-        "A12 races two production backends behind one `engine::Backend` "
-        "interface (DESIGN.md S18): the columnar vectorized executor "
-        "(adapting `db::Database`) and a packed-tuple row store that "
-        "materializes every table as fixed-stride rows plus a string "
-        "heap and executes the same plan trees tuple-at-a-time with "
-        "batching. Held constant across backends: the generated data, "
-        "the plan representation, the DiskModel, the buffer-pool budget "
-        "and rows-per-page, the thread count, and the measurement "
-        "protocol (observed server time = measured wall + simulated "
-        "stall; the row store's packed-result -> Table conversion is "
-        "reported separately as finish time, never hidden in server "
-        "time). Legitimately different: page shape (per-column pages vs "
-        "per-table tuple pages), bytes per scan, seeks per scan (one "
-        "stream per column vs one per table), and per-operator CPU. "
-        "Select a backend with `--dbBackend=col|row` in any bench, "
+        "A12 races two production backends through one execution seam, "
+        "`db::Database::Run` (DESIGN.md S18): the columnar vectorized "
+        "executor and a packed-tuple row store that materializes every "
+        "table as fixed-stride rows plus a string heap and executes the "
+        "same plan trees tuple-at-a-time with batching. A12 flips "
+        "`set_backend` between interleaved samples on one database. Held "
+        "constant across backends: the generated data, the plan "
+        "representation, the DiskModel, the buffer-pool budget and "
+        "rows-per-page, the thread count, and the measurement protocol "
+        "(observed server time = measured wall + simulated stall; "
+        "finishing the native result into a table — gathering a final "
+        "selection, or unpacking the row store's tuples — is charged to "
+        "the client phase on both backends, so A12 reports the row "
+        "store's finish as client minus server time, never hidden in "
+        "server time). Legitimately different: page shape (per-column "
+        "pages vs per-table tuple pages), bytes per scan, seeks per scan "
+        "(one stream per column vs one per table), and per-operator CPU. "
+        "Select a backend with `--dbBackend=col|row` in the benches that "
+        "apply it (A11; benches that apply no database knob reject it), "
         "`\\backend col|row` in the SQL shell, or "
         "`db::Database::set_backend`; typos are hard usage errors. The "
+        "shard cluster refuses a row-store shard database. The "
         "differential oracle extends to backend-vs-backend: all 22 "
         "TPC-H plans plus fuzzed queries run on both backends across "
         "execution modes, thread counts and checked execution, and must "
         "match the reference interpreter AND each other, including "
-        "after randomized INSERT/DELETE batches folded in through "
-        "`SyncFrom` (`ctest -L engine`, `ctest -L oracle`).");
+        "after randomized INSERT/DELETE batches committed through the "
+        "write path (`ctest -L engine`, `ctest -L oracle`).");
     return s;
   }();
   return *suite;

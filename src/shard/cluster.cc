@@ -12,6 +12,13 @@ namespace shard {
 ShardCluster::ShardCluster(ShardClusterOptions options)
     : options_(std::move(options)) {
   PERFEVAL_CHECK_GE(options_.num_shards, 1);
+  // Storage stats are replayed against the columnar reference layout; a
+  // row-store shard would report I/O for a layout it never touched.
+  PERFEVAL_CHECK(options_.shard_db.backend == db::BackendKind::kColumnar)
+      << "ShardCluster supports only the columnar backend: its I/O is "
+         "replayed against the columnar reference layout (shard_db.backend "
+         "= "
+      << db::BackendKindName(options_.shard_db.backend) << ")";
   for (int s = 0; s < options_.num_shards; ++s) {
     db::DatabaseOptions db_options = options_.shard_db;
     auto it = options_.shard_disk_override.find(s);

@@ -23,7 +23,9 @@ struct ShardClusterOptions {
   int num_shards = 2;
   /// Engine configuration of every shard database (per-shard buffer pool,
   /// threads, join algorithm, ...). The disk model can be overridden per
-  /// shard via `shard_disk_override`.
+  /// shard via `shard_disk_override`. The backend must be columnar (the
+  /// constructor aborts otherwise): the cluster's StorageStats replay the
+  /// columnar layout's I/O.
   db::DatabaseOptions shard_db;
   /// The per-shard query service (executor width, admission queue).
   serve::ServiceOptions shard_service;

@@ -1,8 +1,9 @@
-// BenchContext's database-knob parsing. The scheduler flags degrade
-// gracefully (a typo must not abort an overnight run), but the treatment
-// knobs --dbJoin/--dbOpt/--dbBackend are the experiment itself: an
-// unrecognized value must surface as a usage error, never as a silent
-// fallback that quietly measures the wrong engine.
+// BenchContext's argument parsing. The treatment knobs
+// --dbJoin/--dbOpt/--dbBackend are the experiment itself: an unrecognized
+// value must surface as a usage error, never as a silent fallback that
+// quietly measures the wrong engine. The same holds for unknown
+// arguments, bad --order/--isolation values, and database knobs a bench
+// does not apply: each exits with status 2 before anything runs.
 
 #include <string>
 #include <vector>
@@ -16,7 +17,8 @@ namespace perfeval {
 namespace bench {
 namespace {
 
-BenchContext MakeContext(std::vector<std::string> extra) {
+BenchContext MakeContext(std::vector<std::string> extra,
+                         unsigned db_knobs = kAllDbKnobs) {
   std::vector<std::string> args = {"bench_test"};
   args.insert(args.end(), extra.begin(), extra.end());
   std::vector<char*> argv;
@@ -25,7 +27,7 @@ BenchContext MakeContext(std::vector<std::string> extra) {
     argv.push_back(arg.data());
   }
   return BenchContext("T0", "knob parsing test",
-                      static_cast<int>(argv.size()), argv.data());
+                      static_cast<int>(argv.size()), argv.data(), db_knobs);
 }
 
 TEST(BenchUtilTest, DefaultsAreRadixAndOptimizerOff) {
@@ -121,6 +123,75 @@ TEST(BenchUtilTest, ApplyDbKnobsPropagatesTheFirstError) {
   Status status = ctx.ApplyDbKnobs(&database);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("usage: --dbJoin"), std::string::npos);
+}
+
+TEST(BenchUtilDeathTest, UnknownArgumentIsAUsageError) {
+  EXPECT_EXIT(MakeContext({"--dbThread=4"}), ::testing::ExitedWithCode(2),
+              "unknown argument '--dbThread=4'");
+}
+
+TEST(BenchUtilDeathTest, BadOrderAndIsolationAreUsageErrors) {
+  EXPECT_EXIT(MakeContext({"--order=random"}), ::testing::ExitedWithCode(2),
+              "usage error");
+  EXPECT_EXIT(MakeContext({"--isolation=shared"}),
+              ::testing::ExitedWithCode(2), "usage error");
+}
+
+TEST(BenchUtilDeathTest, BenchWithoutDbKnobsRejectsEveryDbKnob) {
+  for (const char* flag : {"--dbThreads=2", "--dbJoin=hash", "--radixBits=4",
+                           "--dbOpt=on", "--dbBackend=row"}) {
+    EXPECT_EXIT(MakeContext({flag}, kNoDbKnobs),
+                ::testing::ExitedWithCode(2), "T0 does not apply")
+        << flag;
+  }
+  // The property form is the same knob.
+  EXPECT_EXIT(MakeContext({"-DdbBackend=row"}, kNoDbKnobs),
+              ::testing::ExitedWithCode(2), "does not apply --dbBackend");
+}
+
+TEST(BenchUtilDeathTest, BenchRejectsOnlyTheKnobsItDoesNotApply) {
+  BenchContext ctx = MakeContext({"--dbThreads=3"}, kDbThreadsKnob);
+  EXPECT_EQ(ctx.DbThreads(), 3);
+  EXPECT_EXIT(MakeContext({"--dbBackend=row"}, kDbThreadsKnob),
+              ::testing::ExitedWithCode(2), "does not apply --dbBackend");
+}
+
+TEST(BenchUtilTest, ValidScheduleFlagsParse) {
+  BenchContext ctx = MakeContext(
+      {"--order=interleaved", "--isolation=concurrent", "--jobs=3"},
+      kNoDbKnobs);
+  sched::Options options = ctx.ScheduleOptions();
+  EXPECT_EQ(options.jobs, 3);
+  EXPECT_EQ(options.order, core::RunOrder::kInterleaved);
+  EXPECT_EQ(options.isolation, core::IsolationPolicy::kConcurrent);
+}
+
+TEST(BenchUtilTest, ApplyDbKnobsSetsOnlyDeclaredKnobs) {
+  BenchContext ctx = MakeContext({"--dbThreads=4"}, kDbThreadsKnob);
+  db::Database database;
+  ASSERT_TRUE(ctx.ApplyDbKnobs(&database).ok());
+  EXPECT_EQ(database.threads(), 4);
+  EXPECT_EQ(database.backend(), db::BackendKind::kColumnar);
+  EXPECT_FALSE(database.optimize());
+}
+
+TEST(BenchUtilTest, HeaderEchoesOnlyAppliedKnobs) {
+  ::testing::internal::CaptureStdout();
+  MakeContext({}, kDbThreadsKnob).PrintHeader("t");
+  std::string threads_only = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(threads_only.find("db knobs: threads=1\n"), std::string::npos)
+      << threads_only;
+  ::testing::internal::CaptureStdout();
+  MakeContext({}, kNoDbKnobs).PrintHeader("t");
+  std::string none = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(none.find("db knobs"), std::string::npos) << none;
+  ::testing::internal::CaptureStdout();
+  MakeContext({"--dbBackend=row"}).PrintHeader("t");
+  std::string all = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(all.find("backend=row threads=1 join=radix radixBits=auto "
+                     "opt=off"),
+            std::string::npos)
+      << all;
 }
 
 }  // namespace

@@ -11,6 +11,10 @@
 //   3. MergeJoin rejected any input whose BASE column had a null mask,
 //      even when the selection vector excluded every NULL row — an input
 //      the hash join and the reference interpreter both accept.
+//
+// Plus the finishing step both backends share: a plan whose final
+// relation is a selection over a nullable base table must keep its NULLs
+// when Database::Run gathers it into the result table.
 
 #include <cmath>
 #include <limits>
@@ -158,6 +162,42 @@ TEST(ExecEdgesTest, MergeJoinAcceptsKeysFilteredPastNulls) {
     EXPECT_NE(std::string(e.what()).find("contains NULL (row 2)"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(ExecEdgesTest, FinalSelectionOverNullableColumnsKeepsNulls) {
+  auto table = std::make_shared<Table>(Schema({{"k", DataType::kInt64},
+                                               {"v", DataType::kDouble},
+                                               {"s", DataType::kString}}));
+  for (int64_t k = 0; k < 40; ++k) {
+    table->AppendRow(
+        {Value::Int64(k),
+         k % 3 == 0 ? Value::Null(DataType::kDouble)
+                    : Value::Double(0.5 * static_cast<double>(k)),
+         k % 4 == 1 ? Value::Null(DataType::kString)
+                    : Value::String("s" + std::to_string(k))});
+  }
+  Database database;
+  database.RegisterTable("t", std::move(table));
+  const Schema& schema = database.GetTable("t").schema();
+  // Neither plan materializes: the final relation is a selection over the
+  // base table, gathered only when Run finishes the result.
+  for (const PlanPtr& plan :
+       {FilterScan("t", {}, Ge(Col(schema, "k"), LitInt(5))),
+        Filter(Scan("t"), Lt(Col(schema, "k"), LitInt(30)))}) {
+    std::shared_ptr<const Table> expected = ReferenceExecute(plan, database);
+    for (ExecMode mode : {ExecMode::kDebug, ExecMode::kOptimized}) {
+      for (int threads : {1, 4}) {
+        database.set_threads(threads);
+        QueryResult result = database.Run(plan, mode);
+        EXPECT_TRUE(result.table->has_nulls());
+        EXPECT_EQ(DiffTables(*result.table, *expected, 0.0,
+                             /*ignore_row_order=*/false),
+                  "")
+            << Explain(plan) << " mode " << ExecModeName(mode)
+            << " threads " << threads;
+      }
+    }
   }
 }
 

@@ -263,6 +263,17 @@ TEST(ShardClusterTest, ConcurrentScatterGatherIsRaceFreeAndCorrect) {
   }
 }
 
+// The cluster's StorageStats replay the columnar reference layout, so a
+// row-store shard database is refused outright rather than silently run
+// columnar or reported against a layout it never touched.
+TEST(ShardClusterDeathTest, RejectsRowStoreShardDatabases) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ShardClusterOptions options;
+  options.shard_db.backend = db::BackendKind::kRowStore;
+  EXPECT_DEATH(ShardCluster cluster(options),
+               "supports only the columnar backend");
+}
+
 TEST(ShardClusterTest, PartitionCoversAndSeparatesRows) {
   // The union of per-shard slices is exactly the input, and each row lands
   // on the shard its key hashes to.

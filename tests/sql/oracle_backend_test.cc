@@ -9,10 +9,12 @@
 // three-way agreement failure localizes a wrong-result bug to one
 // implementation immediately.
 //
-// The mutation half runs randomized INSERT/DELETE batches through the
-// write path between queries: the row store's SyncFrom must observe
-// exactly the committed snapshot a columnar Run() would, or the sweep
-// diverges.
+// Both backends run through the one execution seam, Database::Run, with
+// the backend knob flipped per execution. The mutation half commits
+// randomized INSERT/DELETE batches through the write path
+// (txn::DeltaStore) between queries: the row store's re-sync inside Run
+// must observe exactly the committed snapshot a columnar Run() does, or
+// the sweep diverges.
 
 #include <memory>
 #include <string>
@@ -23,8 +25,6 @@
 #include "common/random.h"
 #include "common/string_util.h"
 #include "db/reference.h"
-#include "engine/backend.h"
-#include "engine/row_backend.h"
 #include "sql/planner.h"
 #include "txn/store.h"
 #include "txn/vdisk.h"
@@ -42,41 +42,40 @@ constexpr double kDoubleTol = 1e-9;
 const ExecMode kModes[] = {ExecMode::kDebug, ExecMode::kOptimized};
 const int kThreads[] = {1, 4};
 
-struct BackendFixture {
-  db::Database database;
-  std::unique_ptr<engine::Backend> columnar;
-  std::unique_ptr<engine::Backend> row;
-};
-
-BackendFixture* Fixture() {
-  static BackendFixture* fixture = [] {
-    auto* f = new BackendFixture();
+db::Database* Fixture() {
+  static db::Database* database = [] {
+    auto* d = new db::Database();
     workload::TpchGenerator gen(0.002);
-    gen.LoadAll(&f->database);
-    f->columnar =
-        engine::CreateBackend(db::BackendKind::kColumnar, &f->database);
-    f->row = engine::CreateBackend(db::BackendKind::kRowStore, &f->database);
-    return f;
+    gen.LoadAll(d);
+    return d;
   }();
-  return fixture;
+  return database;
+}
+
+/// Runs `plan` on `backend` through Database::Run.
+db::QueryResult RunOn(db::Database* database, db::BackendKind backend,
+                      const db::PlanPtr& plan, ExecMode mode) {
+  database->set_backend(backend);
+  return database->Run(plan, mode);
 }
 
 /// Runs `plan` on both backends under every mode x threads x check
 /// combination; each run must match `expected` (the reference result) and
 /// the two backends must match each other within the same combination.
-/// Returns the number of backend executions performed.
-int DiffAcrossBackends(BackendFixture* f, const db::PlanPtr& plan,
+/// Returns the number of backend executions performed. Leaves the
+/// database's knobs at their defaults.
+int DiffAcrossBackends(db::Database* database, const db::PlanPtr& plan,
                        const db::Table& expected, bool ignore_row_order) {
   int runs = 0;
   for (ExecMode mode : kModes) {
     for (int threads : kThreads) {
       for (bool check : {false, true}) {
-        engine::ExecOptions options;
-        options.mode = mode;
-        options.threads = threads;
-        options.check = check;
-        engine::BackendResult col = f->columnar->Execute(plan, options);
-        engine::BackendResult row = f->row->Execute(plan, options);
+        database->set_threads(threads);
+        database->set_check(check);
+        db::QueryResult col =
+            RunOn(database, db::BackendKind::kColumnar, plan, mode);
+        db::QueryResult row =
+            RunOn(database, db::BackendKind::kRowStore, plan, mode);
         runs += 2;
         const std::string label =
             std::string(" mode=") + ExecModeName(mode) +
@@ -97,19 +96,22 @@ int DiffAcrossBackends(BackendFixture* f, const db::PlanPtr& plan,
       }
     }
   }
+  database->set_threads(1);
+  database->set_check(false);
+  database->set_backend(db::BackendKind::kColumnar);
   return runs;
 }
 
 class TpchBackendOracleTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TpchBackendOracleTest, BackendsMatchReferenceAndEachOther) {
-  BackendFixture* f = Fixture();
+  db::Database* database = Fixture();
   const workload::TpchQuery& query = workload::GetTpchQuery(GetParam());
-  db::PlanPtr plan = query.Build(f->database);
+  db::PlanPtr plan = query.Build(*database);
   ASSERT_NE(plan, nullptr);
   std::shared_ptr<const db::Table> expected =
-      db::ReferenceExecute(plan, f->database);
-  int runs = DiffAcrossBackends(f, plan, *expected,
+      db::ReferenceExecute(plan, *database);
+  int runs = DiffAcrossBackends(database, plan, *expected,
                                 /*ignore_row_order=*/true);
   EXPECT_EQ(runs, 2 * 2 * 2 * 2);
 }
@@ -222,18 +224,18 @@ class BackendQueryGen {
 };
 
 TEST(BackendOracleTest, FuzzedQueriesAgreeAcrossBackends) {
-  BackendFixture* f = Fixture();
+  db::Database* database = Fixture();
   BackendQueryGen gen(20260808);
   int backend_runs = 0;
   const int kQueries = 120;
   for (int i = 0; i < kQueries; ++i) {
     std::string sql_text = gen.Next();
     SCOPED_TRACE(sql_text);
-    Result<PlannedQuery> planned = PlanQuery(sql_text, f->database);
+    Result<PlannedQuery> planned = PlanQuery(sql_text, *database);
     ASSERT_TRUE(planned.ok()) << planned.status().ToString();
     std::shared_ptr<const db::Table> expected =
-        db::ReferenceExecute(planned->plan, f->database);
-    backend_runs += DiffAcrossBackends(f, planned->plan, *expected,
+        db::ReferenceExecute(planned->plan, *database);
+    backend_runs += DiffAcrossBackends(database, planned->plan, *expected,
                                        /*ignore_row_order=*/false);
   }
   EXPECT_EQ(backend_runs, kQueries * 2 * 2 * 2 * 2);
@@ -282,8 +284,6 @@ TEST(BackendOracleTest, RowBackendTracksMutationsThroughSyncFrom) {
     Status opened = store.Open();
     ASSERT_TRUE(opened.ok()) << opened.ToString();
   }
-  std::unique_ptr<engine::Backend> row =
-      engine::CreateBackend(db::BackendKind::kRowStore, &database);
 
   Pcg32 rng(MixSeed(20260808, 0xBAC, 0xE17));
   const int kQueryIds[] = {1, 3, 6, 12, 14, 19};
@@ -292,27 +292,35 @@ TEST(BackendOracleTest, RowBackendTracksMutationsThroughSyncFrom) {
     if (round % 2 == 1) {
       MutateTable(store, "orders", rng);
     }
-    // SyncFrom runs the database refresh hook (folding the committed
-    // deltas) before re-packing changed tables, so the row backend and
-    // the reference read the same snapshot.
-    row->SyncFrom(&database);
-
     const workload::TpchQuery& query =
         workload::GetTpchQuery(kQueryIds[round]);
     db::PlanPtr plan = query.Build(database);
     ASSERT_NE(plan, nullptr);
-    std::shared_ptr<const db::Table> expected =
-        db::ReferenceExecute(plan, database);
+    // The row store runs first, so its Run is the one that folds the
+    // committed deltas in (refresh hook) and re-packs the changed tables;
+    // the columnar run and the reference then read that same snapshot.
+    database.set_check(true);
     for (int threads : kThreads) {
-      engine::ExecOptions options;
-      options.threads = threads;
-      options.check = true;
-      engine::BackendResult result = row->Execute(plan, options);
-      EXPECT_EQ(DiffTables(*result.table, *expected, kDoubleTol,
+      database.set_threads(threads);
+      db::QueryResult row =
+          RunOn(&database, db::BackendKind::kRowStore, plan,
+                ExecMode::kOptimized);
+      db::QueryResult col =
+          RunOn(&database, db::BackendKind::kColumnar, plan,
+                ExecMode::kOptimized);
+      std::shared_ptr<const db::Table> expected =
+          db::ReferenceExecute(plan, database);
+      const std::string label = "Q" + std::to_string(kQueryIds[round]) +
+                                " round " + std::to_string(round) +
+                                " threads " + std::to_string(threads);
+      EXPECT_EQ(DiffTables(*row.table, *expected, kDoubleTol,
                            /*ignore_row_order=*/true),
                 "")
-          << "Q" << kQueryIds[round] << " round " << round << " threads "
-          << threads;
+          << "row vs reference " << label;
+      EXPECT_EQ(DiffTables(*row.table, *col.table, kDoubleTol,
+                           /*ignore_row_order=*/true),
+                "")
+          << "row vs columnar " << label;
     }
   }
   txn::DeltaStoreStats stats = store.stats();

@@ -124,22 +124,24 @@ txn() {
 }
 
 engine() {
-  # Multi-backend job: the engine suite (row layout pack/unpack, pager
-  # I/O accounting, row-store determinism/overflow contracts) plus the
-  # A12 faceoff bench's fast path in Release, then engine_test again
-  # under ASan+UBSan (the packed-row kernels do raw stride arithmetic —
-  # exactly where an OOB hides), and the concurrent-Execute test under
-  # ThreadSanitizer (shared catalog + pager behind concurrent queries).
+  # Multi-backend job: the row-store suite (row layout pack/unpack, pager
+  # I/O accounting, row-store determinism/overflow contracts, and
+  # Database::Run's backend dispatch) plus the A12 faceoff bench's fast
+  # path in Release, then row_store_test again under ASan+UBSan (the
+  # packed-row kernels do raw stride arithmetic — exactly where an OOB
+  # hides), and the concurrent row-store Run under ThreadSanitizer (the
+  # lazily built row copy, shared catalog and pager behind concurrent
+  # queries).
   cmake -B build -S .
-  cmake --build build "$jobs_flag" --target engine_test bench_backend_faceoff
+  cmake --build build "$jobs_flag" --target row_store_test bench_backend_faceoff
   ctest --test-dir build --output-on-failure -L engine
   cmake -B build-asan -S . -DPERFEVAL_SANITIZE=address
-  cmake --build build-asan "$jobs_flag" --target engine_test
-  # -R keeps the ASan pass to the engine_test cases (the bench smoke
+  cmake --build build-asan "$jobs_flag" --target row_store_test
+  # -R keeps the ASan pass to the row_store_test cases (the bench smoke
   # under the same label is built only in the Release tree).
-  ctest --test-dir build-asan --output-on-failure -L engine -R 'RowLayout|RowPager|RowBackend|BackendFactory|BackendKind|ColumnarBackend'
+  ctest --test-dir build-asan --output-on-failure -L engine -R 'RowLayout|RowPager|RowBackend|DatabaseBackend|BackendKind'
   cmake -B build-tsan -S . -DPERFEVAL_SANITIZE=thread
-  cmake --build build-tsan "$jobs_flag" --target engine_test
+  cmake --build build-tsan "$jobs_flag" --target row_store_test
   ctest --test-dir build-tsan --output-on-failure -L engine -R 'ConcurrentExecute'
 }
 
