@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 namespace perfeval {
 namespace core {
 namespace {
@@ -27,6 +30,11 @@ TEST(ProcessTimesTest, CpuBoundWorkShowsUpAsUserTime) {
   for (int i = 0; i < 30000000; ++i) {
     sink += i * 1e-9;
   }
+  // Then wait without computing: real time accrues, CPU time does not. An
+  // uninterrupted loop alone has user == real up to the 1us resolution of
+  // getrusage and the drift between the scheduler's clock and steady_clock,
+  // so without the wait real >= user would sit on that edge.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
   ProcessTimes delta = ProcessTimes::Now() - before;
   // A CPU-bound loop accrues user time, not system time (the slide-22
   // distinction). Assert on the CPU split rather than user/real: under
@@ -35,6 +43,7 @@ TEST(ProcessTimesTest, CpuBoundWorkShowsUpAsUserTime) {
   EXPECT_GT(delta.user_ns, 10'000'000);  // >=10ms of a ~50ms loop.
   EXPECT_GT(delta.user_ns, delta.sys_ns);
   EXPECT_GE(delta.real_ns, delta.user_ns);
+  EXPECT_GE(delta.real_ns, delta.user_ns + delta.sys_ns);
   (void)sink;
 }
 

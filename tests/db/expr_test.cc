@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace perfeval {
 namespace db {
 namespace {
@@ -141,6 +143,13 @@ struct LikeCase {
   const char* pattern;
   bool expected;
 };
+
+// ctest names each case after gtest's print of its parameter. The default
+// print of this struct is its raw bytes (two string pointers and padding),
+// which change from run to run, so print the operands instead.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' LIKE '" << c.pattern << "'";
+}
 
 class LikeTest : public ::testing::TestWithParam<LikeCase> {};
 
